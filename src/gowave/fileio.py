@@ -6,8 +6,6 @@ Binary layouts are little-endian regardless of host byte order:
                    values row-major (x index varies slowest).
 * trace files:     magic ``SEIS``, n_r, n_t as int32, then the (n_r, n_t)
                    float64 trace block row-major.
-* wavefield files: magic ``WFLD``, nx, ny, count as int32, then count
-                   (nx, ny) float64 snapshots.
 
 Trace CSVs carry one row per accepted iterate with the fixed column order
 ``iter,solves,objective,grad_norm,model_error,step,ls_evals,extra``; floats
@@ -27,7 +25,6 @@ TRACE_COLUMNS = ("iter", "solves", "objective", "grad_norm", "model_error",
 
 _MODL = b"MODL"
 _SEIS = b"SEIS"
-_WFLD = b"WFLD"
 
 
 def _write_block(path, magic, dims, payload):
@@ -72,19 +69,6 @@ def write_traces(path, traces: np.ndarray) -> None:
 def read_traces(path) -> np.ndarray:
     _, traces = _read_block(path, _SEIS, 2)
     return traces.copy()
-
-
-def write_wavefield(path, snapshots: np.ndarray) -> None:
-    snapshots = np.asarray(snapshots, dtype=np.float64)
-    if snapshots.ndim != 3:
-        raise ValueError("snapshots must be a (count, nx, ny) array")
-    count, nx, ny = snapshots.shape
-    _write_block(path, _WFLD, (nx, ny, count), snapshots)
-
-
-def read_wavefield(path) -> np.ndarray:
-    (nx, ny, count), flat = _read_block(path, _WFLD, 3)
-    return flat.reshape(count, nx, ny).copy()
 
 
 def write_pgm(path, values: np.ndarray, vrange: float) -> None:

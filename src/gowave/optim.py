@@ -38,7 +38,6 @@ class LinesearchPolicy:
 
     max_iters: int = 10
     quad_interp_phase: int = 5
-    armijo_factor: float = 0.5
     armijo_c1: float = 0.0
     initial_step_rule: str = "cap"  # "cap": alpha0 = step_cap/||p||_inf, or "unit"
     step_cap: float = 0.05
@@ -127,7 +126,7 @@ def linesearch(objective, m, p, f0: float, g0: float, policy: LinesearchPolicy):
             proposal = -g0 * alpha * alpha / (2.0 * denom)
             alpha = float(np.clip(proposal, 0.1 * alpha, 0.9 * alpha))
         else:
-            alpha *= policy.armijo_factor
+            alpha *= 0.5
     return 0.0, None, f0, evals
 
 
@@ -223,9 +222,10 @@ class _Run:
         total, _ = self.problem.misfit_only(self.model(values))
         return total + self.reg.value(values)
 
-    def eval_fg(self, values):
+    def eval_fg(self, values, keep_fields=False):
         """Objective with total gradient; also returns the raw report."""
-        report = self.problem.misfit_and_gradients(self.model(values))
+        report = self.problem.misfit_and_gradients(self.model(values),
+                                                   keep_fields=keep_fields)
         f = report.total + self.reg.value(values)
         g = report.gradients.sum(axis=0) + self.reg.grad(values)
         return f, g, report
@@ -366,9 +366,7 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None, m_start=None,
         return lambda r: two_loop_apply(pairs_snapshot, richardson_base, r)
 
     # gradient evaluations keep their wavefields for the inner CG solves
-    report = problem.misfit_and_gradients(run.model(run.values), keep_fields=True)
-    f = report.total + reg.value(run.values)
-    g = report.gradients.sum(axis=0) + reg.grad(run.values)
+    f, g, report = run.eval_fg(run.values, keep_fields=True)
     gnorm = float(np.linalg.norm(g))
     run.record(0, f, gnorm, 0.0, 0)
     it = 0
@@ -419,9 +417,7 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None, m_start=None,
             run.status = "stalled"
             break
         run.values = new_values
-        report = problem.misfit_and_gradients(run.model(run.values), keep_fields=True)
-        f = report.total + reg.value(run.values)
-        g = report.gradients.sum(axis=0) + reg.grad(run.values)
+        f, g, report = run.eval_fg(run.values, keep_fields=True)
         gnorm = float(np.linalg.norm(g))
         it += 1
         run.record(it, f, gnorm, alpha, evals, extra=str(inner))
@@ -441,9 +437,7 @@ def run_gogn(problem, reg, budget, policy=None, m_start=None,
     policy = policy or LinesearchPolicy(initial_step_rule="cap")
     run = _Run("gogn", problem, reg, budget, policy, m_start)
 
-    report = problem.misfit_and_gradients(run.model(run.values))
-    f = report.total + reg.value(run.values)
-    g = report.gradients.sum(axis=0) + reg.grad(run.values)
+    f, g, report = run.eval_fg(run.values)
     gnorm = float(np.linalg.norm(g))
     run.record(0, f, gnorm, 0.0, 0)
     it = 0
@@ -465,9 +459,7 @@ def run_gogn(problem, reg, budget, policy=None, m_start=None,
             run.status = "stalled"
             break
         run.values = new_values
-        report = problem.misfit_and_gradients(run.model(run.values))
-        f = report.total + reg.value(run.values)
-        g = report.gradients.sum(axis=0) + reg.grad(run.values)
+        f, g, report = run.eval_fg(run.values)
         gnorm = float(np.linalg.norm(g))
         it += 1
         run.record(it, f, gnorm, alpha, evals, extra=f"{step.cond_estimate:.6e}")

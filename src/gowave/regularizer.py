@@ -86,18 +86,15 @@ class SmoothingOperator:
         return self._factor.solve(self._factor.solve(b))
 
 
-def build(nx: int, ny: int, h: float, lam: float, nu: float, m0,
-          bc: str = "neumann") -> SmoothingOperator:
+def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOperator:
     """Assemble D = lam * (nu I - lap_h) on an nx x ny grid and factorize it.
 
     m0 is the reference model (array-like of nx * ny entries, or anything with
-    a .values attribute of that length). Only the Neumann boundary closure is
-    supported; it pins the constant-mode eigenvalue of D at exactly lam * nu.
+    a .values attribute of that length). The Neumann boundary closure pins the
+    constant-mode eigenvalue of D at exactly lam * nu.
     """
     if lam <= 0 or nu <= 0:
         raise ValueError("smoothing parameters lam and nu must be positive")
-    if bc != "neumann":
-        raise ValueError(f"unsupported boundary closure {bc!r}")
     m0 = m0.values if hasattr(m0, "values") else np.asarray(m0, dtype=np.float64)
     if m0.size != nx * ny:
         raise ValueError(f"reference model has {m0.size} entries, expected {nx * ny}")

@@ -142,27 +142,26 @@ class SourceSpec:
 
 @dataclass
 class Wavefield:
-    """Forward pressure snapshots plus the bookkeeping the adjoint needs.
+    """The forward sweep's scattering source, kept for the adjoint and Born.
 
-    Snapshots are stored at every internal substep on the padded grid
-    (interior + sponge), so adjoint correlation and Born scattering use the
-    exact discrete history. ``snapshots[n]`` is the field at internal time
-    n * dt with dt = dt_record / substeps.
+    ``scatter[n]`` is ``lap(u^n) - f^n`` on the padded grid (interior +
+    sponge): the Laplacian of the field at internal time n * dt, with the
+    point source already subtracted, exactly as the forward step formed it
+    (dt = dt_record / substeps). A model perturbation dv scatters the wave
+    through ``dv * scatter[n]``, so the adjoint correlates against it and
+    the Born sweep is driven by it without touching the forward field again.
     """
 
-    snapshots: np.ndarray          # (n_steps + 1, nxp, nyp)
+    scatter: np.ndarray            # (n_steps, nxp, nyp)
     substeps: int
-    dt: float
-    source_cell: tuple[int, int]   # padded-array indices
-    source_values: np.ndarray      # f amplitude per internal step, length n_steps
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
     nt: int
 
     def __post_init__(self):
-        expected = self.substeps * (self.nt - 1) + 1
-        if self.snapshots.shape[0] != expected:
+        expected = self.substeps * (self.nt - 1)
+        if self.scatter.shape[0] != expected:
             raise ValueError(
-                f"snapshot count {self.snapshots.shape[0]} inconsistent with "
+                f"scatter count {self.scatter.shape[0]} inconsistent with "
                 f"nt={self.nt}, substeps={self.substeps} (expected {expected})"
             )
 
@@ -244,10 +243,9 @@ def _damping_profile(grid: SimGrid) -> np.ndarray:
 
 
 class _Workspace:
-    """Per-call precomputation shared by the three sweep types."""
+    """Per-call precomputation and the time loop shared by the sweeps."""
 
-    def __init__(self, model: ModelGrid, grid: SimGrid, source: SourceSpec = None,
-                 receivers=None):
+    def __init__(self, model: ModelGrid, grid: SimGrid, receivers=None):
         if model.nx != grid.nx or model.ny != grid.ny:
             raise ValueError("model shape does not match the simulation grid")
         self.grid = grid
@@ -262,14 +260,6 @@ class _Workspace:
         self.a = 1.0 / (1.0 + gamma * self.dt)
         self.b = 1.0 - gamma * self.dt
 
-        if source is not None:
-            sx, sy = grid.snap(source.position)
-            self.source_cell = (sx + self.bw, sy + self.bw)
-            t_internal = self.dt * np.arange(self.n_steps)
-            self.source_values = (
-                source.amplitude * ricker(t_internal, source.frequency, source.t0)
-                / grid.h**2
-            )
         if receivers is not None:
             cells = [grid.snap(r) for r in receivers]
             self.receiver_cells = np.array(
@@ -285,6 +275,46 @@ class _Workspace:
         """d(v_padded)/dm diagonal factor on the interior: 2 c0^2 (1 + m)."""
         return 2.0 * self.grid.c0**2 * (1.0 + model.as_2d())
 
+    def check_field(self, field: Wavefield):
+        if field.substeps != self.k or field.scatter.shape != (self.n_steps,) + self.shape:
+            raise ValueError("forward field was produced with a different model or grid")
+
+    def guard(self, field: np.ndarray, n: int, what: str):
+        """Raise SolverBlowupError if ``field`` at internal step n is not
+        finite or has grown past 1e100."""
+        amax = float(np.abs(field).max())
+        if not np.isfinite(amax) or amax > 1e100:
+            raise SolverBlowupError(
+                f"{what} magnitude {amax:.3g} at t={n * self.dt:.3f}s "
+                f"(substeps={self.k}, dt={self.dt:.4g}s): time stepping is unstable"
+            )
+
+    def march(self, excite, what: str) -> np.ndarray:
+        """Leapfrog from rest and return the (n_r, nt) receiver traces.
+
+        ``excite(n, rhs)`` sees the step-n right-hand side ``lap(u^n)`` and
+        may edit it in place; a non-None return value is added to the step
+        before the sponge factor is applied.
+        """
+        k = self.k
+        rx, ry = self.receiver_cells[:, 0], self.receiver_cells[:, 1]
+        traces = np.zeros((len(self.receiver_cells), self.grid.nt))
+        u_prev = np.zeros(self.shape)
+        u = np.zeros(self.shape)
+        dt2 = self.dt**2
+
+        for n in range(self.n_steps):
+            rhs = self.lap(u)
+            extra = excite(n, rhs)
+            acc = 2.0 * u - self.b * u_prev + dt2 * self.v * rhs
+            if extra is not None:
+                acc += extra
+            u_prev, u = u, self.a * acc
+            if (n + 1) % k == 0:
+                self.guard(u, n + 1, what)
+                traces[:, (n + 1) // k] = u[rx, ry]
+        return traces
+
 
 def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid,
                   ledger, keep_field: bool = False):
@@ -293,46 +323,24 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     Returns (traces, wavefield); traces has shape (n_r, nt) and wavefield is
     None unless keep_field is set. Counts one forward solve on the ledger.
     """
-    ws = _Workspace(model, grid, source, receivers)
-    k, nt = ws.k, grid.nt
-    n_rec = len(ws.receiver_cells)
-    traces = np.zeros((n_rec, nt))
-    rx, ry = ws.receiver_cells[:, 0], ws.receiver_cells[:, 1]
+    ws = _Workspace(model, grid, receivers)
+    sx, sy = grid.snap(source.position)
+    cell = (sx + ws.bw, sy + ws.bw)
+    f = (source.amplitude * ricker(ws.dt * np.arange(ws.n_steps), source.frequency,
+                                   source.t0) / grid.h**2)
+    scatter = np.zeros((ws.n_steps,) + ws.shape) if keep_field else None
 
-    snaps = np.zeros((ws.n_steps + 1,) + ws.shape) if keep_field else None
-    u_prev = np.zeros(ws.shape)
-    u_cur = np.zeros(ws.shape)
-    dt2 = ws.dt**2
-    sx, sy = ws.source_cell
+    def excite(n, rhs):
+        rhs[cell] -= f[n]
+        if scatter is not None:
+            scatter[n] = rhs
 
-    for n in range(ws.n_steps):
-        rhs = ws.lap(u_cur)
-        rhs[sx, sy] -= ws.source_values[n]
-        u_next = ws.a * (2.0 * u_cur - ws.b * u_prev + dt2 * ws.v * rhs)
-        u_prev, u_cur = u_cur, u_next
-        if snaps is not None:
-            snaps[n + 1] = u_cur
-        if (n + 1) % k == 0:
-            amax = float(np.abs(u_cur).max())
-            if not np.isfinite(amax) or amax > 1e100:
-                raise SolverBlowupError(
-                    f"field magnitude {amax:.3g} at t={(n + 1) * ws.dt:.3f}s "
-                    f"(substeps={k}, dt={ws.dt:.4g}s): time stepping is unstable"
-                )
-            traces[:, (n + 1) // k] = u_cur[rx, ry]
-
+    traces = ws.march(excite, "field")
     ledger.count_forward()
     wavefield = None
     if keep_field:
-        wavefield = Wavefield(
-            snapshots=snaps,
-            substeps=k,
-            dt=ws.dt,
-            source_cell=ws.source_cell,
-            source_values=ws.source_values,
-            receiver_cells=ws.receiver_cells,
-            nt=nt,
-        )
+        wavefield = Wavefield(scatter=scatter, substeps=ws.k,
+                              receiver_cells=ws.receiver_cells, nt=grid.nt)
     return traces, wavefield
 
 
@@ -341,9 +349,10 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     """Back-propagate receiver-space data and return the model-space gradient.
 
     Computes J(m)^T q for the trace Jacobian J of forward_solve, by running
-    the transpose of the discrete time-stepping scheme against the stored
-    forward snapshots. With q = w^2 * (synthetic - observed) this is the
-    gradient of the weighted half-squared misfit. Counts one adjoint solve.
+    the transpose of the discrete time-stepping scheme and correlating it
+    with the stored forward scattering source. With q = w^2 * (synthetic -
+    observed) this is the gradient of the weighted half-squared misfit.
+    Counts one adjoint solve.
     """
     q = np.asarray(weighted_residual_traces, dtype=np.float64)
     n_rec = len(forward_field.receiver_cells)
@@ -352,13 +361,11 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
             f"residual traces have shape {q.shape}, expected ({n_rec}, {grid.nt})"
         )
     ws = _Workspace(model, grid)
-    if ws.k != forward_field.substeps or ws.n_steps + 1 != forward_field.snapshots.shape[0]:
-        raise ValueError("forward field was produced with a different model or grid")
+    ws.check_field(forward_field)
 
     k = ws.k
     rx = forward_field.receiver_cells[:, 0]
     ry = forward_field.receiver_cells[:, 1]
-    sx, sy = forward_field.source_cell
     dt2 = ws.dt**2
     av = ws.a * ws.v
     ab = ws.a * ws.b
@@ -371,9 +378,8 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
         lam = 2.0 * ws.a * lam_next + dt2 * ws.lap(av * lam_next) - ab * lam_next2
         if n % k == 0:
             np.add.at(lam, (rx, ry), q[:, n // k])
-        scat = ws.lap(forward_field.snapshots[n - 1])
-        scat[sx, sy] -= forward_field.source_values[n - 1]
-        gv += (dt2 * ws.a * lam) * scat
+            ws.guard(lam, n, "adjoint field")
+        gv += (dt2 * ws.a * lam) * forward_field.scatter[n - 1]
         lam_next2 = lam_next
         lam_next = lam
 
@@ -386,39 +392,20 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
                receivers, grid: SimGrid, forward_field: Wavefield, ledger) -> np.ndarray:
     """Linearized (Born) solve: the Jacobian-vector product J(m) @ direction.
 
-    Propagates the single-scattered field generated by a model perturbation
-    against the stored forward snapshots and samples it at the receivers.
-    Counts one Born solve.
+    Propagates the single-scattered field that the model perturbation
+    generates from the stored forward scattering source, and samples it at
+    the receivers. ``source`` is the source the forward field was computed
+    for; its wavelet is already part of ``forward_field.scatter``, so it is
+    not read here. Counts one Born solve.
     """
     direction = np.asarray(direction, dtype=np.float64).ravel()
     if direction.size != model.p:
         raise ValueError(f"direction has {direction.size} entries, expected {model.p}")
-    ws = _Workspace(model, grid, source, receivers)
-    if ws.k != forward_field.substeps or ws.n_steps + 1 != forward_field.snapshots.shape[0]:
-        raise ValueError("forward field was produced with a different model or grid")
+    ws = _Workspace(model, grid, receivers)
+    ws.check_field(forward_field)
 
-    k, nt = ws.k, grid.nt
     dv = _pad_edge(ws.model_chain(model) * direction.reshape(model.nx, model.ny), ws.bw)
-    rx, ry = ws.receiver_cells[:, 0], ws.receiver_cells[:, 1]
-    sx, sy = ws.source_cell
-    dt2 = ws.dt**2
-
-    traces = np.zeros((len(ws.receiver_cells), nt))
-    du_prev = np.zeros(ws.shape)
-    du_cur = np.zeros(ws.shape)
-
-    for n in range(ws.n_steps):
-        scat = ws.lap(forward_field.snapshots[n])
-        scat[sx, sy] -= ws.source_values[n]
-        du_next = ws.a * (
-            2.0 * du_cur - ws.b * du_prev + dt2 * ws.v * ws.lap(du_cur) + dt2 * dv * scat
-        )
-        du_prev, du_cur = du_cur, du_next
-        if (n + 1) % k == 0:
-            amax = float(np.abs(du_cur).max())
-            if not np.isfinite(amax) or amax > 1e100:
-                raise SolverBlowupError("scattered-field time stepping is unstable")
-            traces[:, (n + 1) // k] = du_cur[rx, ry]
-
+    kick = ws.dt**2 * dv
+    traces = ws.march(lambda n, rhs: kick * forward_field.scatter[n], "scattered field")
     ledger.count_born()
     return traces

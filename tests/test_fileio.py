@@ -39,17 +39,6 @@ def test_traces_round_trip(tmp_path):
     np.testing.assert_array_equal(fileio.read_traces(path), traces)
 
 
-def test_wavefield_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    snaps = rng.standard_normal((4, 6, 5))
-    path = tmp_path / "u.wfld"
-    fileio.write_wavefield(path, snaps)
-    raw = path.read_bytes()
-    assert raw[:4] == b"WFLD"
-    assert np.frombuffer(raw[4:16], dtype="<i4").tolist() == [6, 5, 4]
-    np.testing.assert_array_equal(fileio.read_wavefield(path), snaps)
-
-
 def test_reader_rejects_bad_magic_and_sizes(tmp_path):
     path = tmp_path / "x.modl"
     path.write_bytes(b"JUNK" + b"\x00" * 20)

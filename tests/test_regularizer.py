@@ -133,8 +133,6 @@ def test_build_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build(8, 8, H, LAM, -1.0, np.zeros(64))
     with pytest.raises(ValueError):
-        build(8, 8, H, LAM, NU, np.zeros(64), bc="dirichlet")
-    with pytest.raises(ValueError):
         build(8, 8, H, LAM, NU, np.zeros(63))
 
 

@@ -122,7 +122,8 @@ def test_first_sample_is_zero_and_field_starts_at_rest():
     traces, fld = forward_solve(m, src, cells(grid, (3, 4)), grid, SolveLedger(),
                                 keep_field=True)
     assert np.all(traces[:, 0] == 0.0)
-    assert np.all(fld.snapshots[0] == 0.0)
+    # at rest the scattering source is the point source alone
+    assert np.count_nonzero(fld.scatter[0]) == 1
 
 
 def test_causality_quiet_before_first_arrival():
@@ -260,6 +261,17 @@ def test_adjoint_rejects_wrong_trace_shape():
         adjoint_solve(m, traces[:-1], fld, grid, led)
 
 
+def test_adjoint_guard_raises_on_non_finite_field():
+    _, grid, m, src, recv = setup_problem()
+    led = SolveLedger()
+    traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+    resid = traces.copy()
+    resid[1, grid.nt // 2] = np.nan
+    with pytest.raises(SolverBlowupError, match="unstable"):
+        adjoint_solve(m, resid, fld, grid, led)
+    assert led.snapshot().adjoint == 0
+
+
 def test_adjoint_rejects_mismatched_field():
     _, grid, m, src, recv = setup_problem()
     led = SolveLedger()
@@ -272,8 +284,7 @@ def test_adjoint_rejects_mismatched_field():
 
 def test_wavefield_validates_snapshot_count():
     with pytest.raises(ValueError):
-        Wavefield(snapshots=np.zeros((5, 4, 4)), substeps=2, dt=0.5,
-                  source_cell=(1, 1), source_values=np.zeros(6),
+        Wavefield(scatter=np.zeros((5, 4, 4)), substeps=2,
                   receiver_cells=np.zeros((1, 2), dtype=np.intp), nt=4)
 
 
