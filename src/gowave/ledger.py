@@ -3,7 +3,10 @@
 Every convergence comparison in this package is plotted against the number
 of wave-equation solves consumed, so the counter has to be exact: each
 forward, adjoint, and Born sweep counts as one solve, nothing else does.
-Increments are lock-protected so per-source work may run on threads.
+Sweeps run one after another; only whole optimizer runs go on threads
+(`harness.run_comparison` with `threads > 1`), each with its own ledger.
+Increments are lock-protected all the same, so a ledger may be read from
+another thread.
 """
 
 from __future__ import annotations

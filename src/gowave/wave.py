@@ -24,7 +24,8 @@ import numpy as np
 # CFL safety factor for the 2D 4th-order stencil (stability limit ~0.61).
 CFL_SAFETY = 0.5
 
-# Extra zero halo so the 4th-order stencil sees a Dirichlet exterior.
+# Zero halo around every field so the 4th-order stencil sees a Dirichlet
+# exterior. Sweeps keep their fields inside it, as flat arrays.
 _HALO = 2
 
 
@@ -80,13 +81,22 @@ class SimGrid:
 
     def snap(self, position) -> tuple[int, int]:
         """Snap a physical (x, y) position to the nearest interior cell."""
-        x, y = position
+        ix, iy = self.snap_all([position])[0]
+        return int(ix), int(iy)
+
+    def snap_all(self, positions) -> np.ndarray:
+        """Snap a sequence of (x, y) positions to their nearest interior cells
+        (round half to even), as an (n, 2) array."""
+        pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
         lx, ly = self.extent
-        if not (0.0 <= x <= lx and 0.0 <= y <= ly):
-            raise ValueError(f"position {position} outside domain [0,{lx}]x[0,{ly}]")
-        ix = min(self.nx - 1, max(0, int(round(x / self.h))))
-        iy = min(self.ny - 1, max(0, int(round(y / self.h))))
-        return ix, iy
+        x, y = pos[:, 0], pos[:, 1]
+        outside = np.flatnonzero(~((0.0 <= x) & (x <= lx) & (0.0 <= y) & (y <= ly)))
+        if outside.size:
+            raise ValueError(f"position {positions[outside[0]]} outside domain "
+                             f"[0,{lx}]x[0,{ly}]")
+        cells = np.rint(pos / self.h)
+        np.clip(cells, 0, (self.nx - 1, self.ny - 1), out=cells)
+        return cells.astype(np.intp)
 
 
 @dataclass
@@ -190,17 +200,34 @@ def cfl_substeps(model: ModelGrid, grid: SimGrid) -> int:
 # internal machinery shared by forward / adjoint / Born sweeps
 
 
-def _laplacian(u: np.ndarray, h2: float, buf: np.ndarray) -> np.ndarray:
-    """4th-order Laplacian with a zero-Dirichlet exterior (symmetric operator)."""
-    buf[...] = 0.0
-    buf[_HALO:-_HALO, _HALO:-_HALO] = u
-    c1 = 4.0 / 3.0
-    c2 = -1.0 / 12.0
-    out = (
-        -5.0 * u
-        + c1 * (buf[1:-3, 2:-2] + buf[3:-1, 2:-2] + buf[2:-2, 1:-3] + buf[2:-2, 3:-1])
-        + c2 * (buf[:-4, 2:-2] + buf[4:, 2:-2] + buf[2:-2, :-4] + buf[2:-2, 4:])
-    )
+def _laplacian_band(u: np.ndarray, width: int, h2: float, out: np.ndarray,
+                    tmp: np.ndarray) -> np.ndarray:
+    """4th-order Laplacian with a zero-Dirichlet exterior (symmetric operator).
+
+    ``u`` is a flat field of ``width``-long rows inside a zero halo of
+    _HALO rows and columns. ``out`` (and the scratch ``tmp``) hold the
+    rows inside the halo at full width, so each of the stencil's operands
+    is one contiguous slice of ``u``. In the halo columns the column shifts
+    wrap into the next row and ``out`` is meaningless; everywhere else it is
+    the 2-D stencil's value, bit for bit.
+    """
+    n = out.size
+    s = _HALO * width
+
+    def at(offset):
+        return u[s + offset:s + offset + n]
+
+    np.multiply(at(0), -5.0, out=out)
+    np.add(at(-width), at(width), out=tmp)
+    tmp += at(-1)
+    tmp += at(1)
+    tmp *= 4.0 / 3.0
+    out += tmp
+    np.add(at(-2 * width), at(2 * width), out=tmp)
+    tmp += at(-2)
+    tmp += at(2)
+    tmp *= -1.0 / 12.0
+    out += tmp
     out /= h2
     return out
 
@@ -243,7 +270,13 @@ def _damping_profile(grid: SimGrid) -> np.ndarray:
 
 
 class _Workspace:
-    """Per-call precomputation and the time loop shared by the sweeps."""
+    """Per-call precomputation and the time loop shared by the sweeps.
+
+    Sweeps step flat fields of ``size`` entries: the padded grid (interior
+    plus sponge) inside a zero halo of _HALO rows and columns. Only the
+    ``band`` (the rows inside the halo, at full width) is ever written, and
+    its halo columns are reset to +0.0 after every step.
+    """
 
     def __init__(self, model: ModelGrid, grid: SimGrid, receivers=None):
         if model.nx != grid.nx or model.ny != grid.ny:
@@ -254,22 +287,53 @@ class _Workspace:
         self.dt = grid.dt_record / self.k
         self.n_steps = self.k * (grid.nt - 1)
 
-        c_int = grid.c0 * (1.0 + model.as_2d())
-        self.v = _pad_edge(c_int * c_int, self.bw)  # squared speed, padded
-        gamma = _damping_profile(grid)
-        self.a = 1.0 / (1.0 + gamma * self.dt)
-        self.b = 1.0 - gamma * self.dt
-
         if receivers is not None:
-            cells = [grid.snap(r) for r in receivers]
-            self.receiver_cells = np.array(
-                [(ix + self.bw, iy + self.bw) for ix, iy in cells], dtype=np.intp
-            ).reshape(-1, 2)
-        self.shape = self.v.shape
-        self._lap_buf = np.zeros((self.shape[0] + 2 * _HALO, self.shape[1] + 2 * _HALO))
+            self.receiver_cells = grid.snap_all(receivers) + self.bw
+        self.shape = (grid.nx + 2 * self.bw, grid.ny + 2 * self.bw)
+        self.width = self.shape[1] + 2 * _HALO
+        self.size = (self.shape[0] + 2 * _HALO) * self.width
+        self._band = slice(_HALO * self.width, (_HALO + self.shape[0]) * self.width)
 
-    def lap(self, u: np.ndarray) -> np.ndarray:
-        return _laplacian(u, self.grid.h**2, self._lap_buf)
+        # coefficient bands: squared speed and the sponge factors
+        c_int = grid.c0 * (1.0 + model.as_2d())
+        self.v = self.coef(_pad_edge(c_int * c_int, self.bw))
+        gamma = _damping_profile(grid)
+        self.a = self.coef(1.0 / (1.0 + gamma * self.dt))
+        self.b = self.coef(1.0 - gamma * self.dt)
+
+    def field(self) -> np.ndarray:
+        return np.zeros(self.size)
+
+    def band(self, f: np.ndarray) -> np.ndarray:
+        return f[self._band]
+
+    def inside(self, band: np.ndarray) -> np.ndarray:
+        """The (nxp, nyp) view of a band inside its halo columns."""
+        return band.reshape(self.shape[0], self.width)[:, _HALO:-_HALO]
+
+    def coef(self, x) -> np.ndarray:
+        """A band holding x, an (nxp, nyp) array or a scalar, zero in the halo
+        columns."""
+        band = np.zeros(self._band.stop - self._band.start)
+        self.inside(band)[...] = x
+        return band
+
+    def flat_cells(self, cells: np.ndarray) -> np.ndarray:
+        """Flat field indices of (n, 2) padded-grid cells."""
+        return (cells[:, 0] + _HALO) * self.width + cells[:, 1] + _HALO
+
+    def rezero_halo(self, f: np.ndarray):
+        """Reset the band's halo columns to +0.0 after a step wrote them.
+
+        A row's right halo and the next row's left halo are adjacent, so one
+        strided view covers them all.
+        """
+        lo = self._band.start - _HALO
+        seams = f[lo:lo + (self.shape[0] + 1) * self.width].reshape(-1, self.width)
+        seams[:, :2 * _HALO] = 0.0
+
+    def lap(self, u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        return _laplacian_band(u, self.width, self.grid.h**2, out, tmp)
 
     def model_chain(self, model: ModelGrid) -> np.ndarray:
         """d(v_padded)/dm diagonal factor on the interior: 2 c0^2 (1 + m)."""
@@ -281,9 +345,14 @@ class _Workspace:
 
     def guard(self, field: np.ndarray, n: int, what: str):
         """Raise SolverBlowupError if ``field`` at internal step n is not
-        finite or has grown past 1e100."""
-        amax = float(np.abs(field).max())
-        if not np.isfinite(amax) or amax > 1e100:
+        finite or has grown past 1e100.
+
+        The sweeps pass a field's band once its halo columns are +0.0, which
+        gives the same verdict and magnitude as the interior alone.
+        """
+        # NaN fails both comparisons
+        if not (field.max() <= 1e100 and field.min() >= -1e100):
+            amax = float(np.abs(field).max())
             raise SolverBlowupError(
                 f"{what} magnitude {amax:.3g} at t={n * self.dt:.3f}s "
                 f"(substeps={self.k}, dt={self.dt:.4g}s): time stepping is unstable"
@@ -292,27 +361,36 @@ class _Workspace:
     def march(self, excite, what: str) -> np.ndarray:
         """Leapfrog from rest and return the (n_r, nt) receiver traces.
 
-        ``excite(n, rhs)`` sees the step-n right-hand side ``lap(u^n)`` and
-        may edit it in place; a non-None return value is added to the step
-        before the sponge factor is applied.
+        ``excite(n, rhs)`` sees the step-n right-hand side ``lap(u^n)`` as an
+        (nxp, nyp) view and may edit it in place; a non-None return value, a
+        band, is added to the step before the sponge factor is applied.
         """
         k = self.k
-        rx, ry = self.receiver_cells[:, 0], self.receiver_cells[:, 1]
-        traces = np.zeros((len(self.receiver_cells), self.grid.nt))
-        u_prev = np.zeros(self.shape)
-        u = np.zeros(self.shape)
-        dt2 = self.dt**2
+        cells = self.flat_cells(self.receiver_cells)
+        traces = np.zeros((len(cells), self.grid.nt))
+        dt2v, a, b = self.dt**2 * self.v, self.a, self.b
+        u_prev, u = self.field(), self.field()
+        rhs, tmp = np.empty(dt2v.size), np.empty(dt2v.size)
+        rhs_in = self.inside(rhs)
 
         for n in range(self.n_steps):
-            rhs = self.lap(u)
-            extra = excite(n, rhs)
-            acc = 2.0 * u - self.b * u_prev + dt2 * self.v * rhs
+            self.lap(u, rhs, tmp)
+            extra = excite(n, rhs_in)
+            # u^{n+1} = a * (2 u^n - b u^{n-1} + dt^2 v rhs), in u^{n-1}'s buffer
+            nxt = self.band(u_prev)
+            np.multiply(b, nxt, out=tmp)
+            np.multiply(self.band(u), 2.0, out=nxt)
+            nxt -= tmp
+            np.multiply(dt2v, rhs, out=tmp)
+            nxt += tmp
             if extra is not None:
-                acc += extra
-            u_prev, u = u, self.a * acc
+                nxt += extra
+            nxt *= a
+            self.rezero_halo(u_prev)
+            u_prev, u = u, u_prev
             if (n + 1) % k == 0:
-                self.guard(u, n + 1, what)
-                traces[:, (n + 1) // k] = u[rx, ry]
+                self.guard(self.band(u), n + 1, what)
+                traces[:, (n + 1) // k] = u[cells]
         return traces
 
 
@@ -364,24 +442,41 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     ws.check_field(forward_field)
 
     k = ws.k
-    rx = forward_field.receiver_cells[:, 0]
-    ry = forward_field.receiver_cells[:, 1]
+    cells = ws.flat_cells(forward_field.receiver_cells)
     dt2 = ws.dt**2
-    av = ws.a * ws.v
-    ab = ws.a * ws.b
+    # a v and a b are formed in place of v and b, which the adjoint does not
+    # read again
+    av, ab = ws.v, ws.b
+    av *= ws.a
+    ab *= ws.a
+    dt2a = dt2 * ws.a
+    two_a = 2.0 * ws.a
 
-    lam_next = np.zeros(ws.shape)   # lambda^{n+1}
-    lam_next2 = np.zeros(ws.shape)  # lambda^{n+2}
-    gv = np.zeros(ws.shape)         # gradient w.r.t. squared-speed field
+    lam_next = ws.field()   # lambda^{n+1}
+    lam_next2 = ws.field()  # lambda^{n+2}, overwritten by lambda^n
+    scaled = ws.field()     # a v lambda^{n+1}, the Laplacian's operand
+    lap, tmp = np.empty(two_a.size), np.empty(two_a.size)
+    gv = np.zeros(ws.shape)  # gradient w.r.t. squared-speed field
 
     for n in range(ws.n_steps, 0, -1):
-        lam = 2.0 * ws.a * lam_next + dt2 * ws.lap(av * lam_next) - ab * lam_next2
+        # lambda^n = 2 a lambda^{n+1} + dt^2 lap(a v lambda^{n+1}) - a b lambda^{n+2}
+        nb, lam = ws.band(lam_next), ws.band(lam_next2)
+        np.multiply(av, nb, out=ws.band(scaled))
+        ws.lap(scaled, lap, tmp)
+        lap *= dt2
+        np.multiply(ab, lam, out=tmp)
+        np.multiply(two_a, nb, out=lam)
+        lam += lap
+        lam -= tmp
+        ws.rezero_halo(lam_next2)
         if n % k == 0:
-            np.add.at(lam, (rx, ry), q[:, n // k])
+            np.add.at(lam_next2, cells, q[:, n // k])
             ws.guard(lam, n, "adjoint field")
-        gv += (dt2 * ws.a * lam) * forward_field.scatter[n - 1]
-        lam_next2 = lam_next
-        lam_next = lam
+        np.multiply(dt2a, lam, out=tmp)
+        corr = ws.inside(tmp)
+        corr *= forward_field.scatter[n - 1]
+        gv += corr
+        lam_next2, lam_next = lam_next, lam_next2
 
     grad = ws.model_chain(model) * _fold_edge(gv, ws.bw)
     ledger.count_adjoint()
@@ -406,6 +501,13 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
 
     dv = _pad_edge(ws.model_chain(model) * direction.reshape(model.nx, model.ny), ws.bw)
     kick = ws.dt**2 * dv
-    traces = ws.march(lambda n, rhs: kick * forward_field.scatter[n], "scattered field")
+    extra = ws.coef(0.0)
+    extra_in = ws.inside(extra)
+
+    def excite(n, rhs):
+        np.multiply(kick, forward_field.scatter[n], out=extra_in)
+        return extra
+
+    traces = ws.march(excite, "scattered field")
     ledger.count_born()
     return traces

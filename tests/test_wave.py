@@ -1,5 +1,7 @@
 """Tests for the finite-difference wave solver and its adjoint machinery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,77 @@ def test_blowup_guard_raises_with_diagnostic(monkeypatch):
         forward_solve(m, src, cells(grid, (3, 4)), grid, SolveLedger())
 
 
+@pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"),
+                                        (1e101, "1e+101"), (-1e101, "1e+101")])
+def test_guard_raises_on_non_finite_or_huge_entries(bad, shown):
+    grid = small_grid()
+    ws = wave._Workspace(ModelGrid.zeros(grid.nx, grid.ny), grid)
+    field = ws.field()
+    inside = ws.inside(ws.band(field))
+    inside[5, 7] = -1e100  # the largest magnitude that still passes
+    ws.guard(field, 3, "field")
+    inside[6, 2] = bad
+    with pytest.raises(SolverBlowupError, match=f"^field magnitude {re.escape(shown)} at .*unstable"):
+        ws.guard(field, 3, "field")
+
+
+# -- flat-band stencil -------------------------------------------------------
+
+
+def laplacian_2d(u, h2):
+    """Reference: the plain 2-D 4th-order stencil with a zero-Dirichlet exterior."""
+    buf = np.zeros((u.shape[0] + 4, u.shape[1] + 4))
+    buf[2:-2, 2:-2] = u
+    c1 = 4.0 / 3.0
+    c2 = -1.0 / 12.0
+    out = (
+        -5.0 * u
+        + c1 * (buf[1:-3, 2:-2] + buf[3:-1, 2:-2] + buf[2:-2, 1:-3] + buf[2:-2, 3:-1])
+        + c2 * (buf[:-4, 2:-2] + buf[4:, 2:-2] + buf[2:-2, :-4] + buf[2:-2, 4:])
+    )
+    out /= h2
+    return out
+
+
+@pytest.mark.parametrize("shape", [(13, 21), (30, 17)])
+def test_band_laplacian_equals_2d_stencil_bitwise(shape):
+    rng = np.random.default_rng(shape[0])
+    u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    h2 = 2400.0**2
+    width = shape[1] + 4
+    field = np.zeros((shape[0] + 4, width))
+    field[2:-2, 2:-2] = u
+    out = np.empty(shape[0] * width)
+    wave._laplacian_band(field.ravel(), width, h2, out, np.empty_like(out))
+    assert np.array_equal(out.reshape(shape[0], width)[:, 2:-2], laplacian_2d(u, h2))
+
+
+def test_sweeps_leave_every_halo_entry_positive_zero(monkeypatch):
+    made = []
+    zero_field = wave._Workspace.field
+
+    def recorded_field(self):
+        made.append(zero_field(self))
+        return made[-1]
+
+    monkeypatch.setattr(wave._Workspace, "field", recorded_field)
+    rng, grid, m, src, recv = setup_problem()
+    led = SolveLedger()
+    traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+    assert len(made) == 2  # u^{n-1} and u^n of the forward march
+    adjoint_solve(m, traces, fld, grid, led)
+    born_solve(m, rng.standard_normal(m.p), src, recv, grid, fld, led)
+    assert len(made) == 7
+    nxp = grid.nx + 2 * grid.boundary_width
+    for f in made:
+        assert np.abs(f).max() > 0
+        f2 = f.reshape(nxp + 4, -1)
+        halo = np.ones(f2.shape, dtype=bool)
+        halo[2:-2, 2:-2] = False
+        assert np.all(f2[halo] == 0.0)
+        assert not np.signbit(f2[halo]).any()
+
+
 # -- adjoint and Born --------------------------------------------------------
 
 
@@ -272,6 +345,17 @@ def test_adjoint_guard_raises_on_non_finite_field():
     assert led.snapshot().adjoint == 0
 
 
+def test_born_guard_raises_on_non_finite_direction():
+    rng, grid, m, src, recv = setup_problem()
+    led = SolveLedger()
+    _, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+    direction = rng.standard_normal(m.p)
+    direction[37] = np.nan
+    with pytest.raises(SolverBlowupError, match="unstable"):
+        born_solve(m, direction, src, recv, grid, fld, led)
+    assert led.snapshot().born == 0
+
+
 def test_adjoint_rejects_mismatched_field():
     _, grid, m, src, recv = setup_problem()
     led = SolveLedger()
@@ -320,5 +404,19 @@ def test_source_outside_domain_rejected():
 
 def test_snap_rounds_to_nearest_cell():
     grid = small_grid()
+    lx, ly = grid.extent
     assert grid.snap((0.4 * grid.h, 0.6 * grid.h)) == (0, 1)
-    assert grid.snap((grid.extent[0], grid.extent[1])) == (grid.nx - 1, grid.ny - 1)
+    assert grid.snap((lx, ly)) == (grid.nx - 1, grid.ny - 1)
+    assert grid.snap((0.5 * grid.h, 2.5 * grid.h)) == (0, 2)  # half to even
+    rng = np.random.default_rng(5)
+    pts = [tuple(p) for p in rng.uniform((0.0, 0.0), (lx, ly), size=(200, 2))]
+    pts += [((i + 0.5) * grid.h, (j + 0.5) * grid.h) for i in range(grid.nx - 1) for j in (0, 1)]
+    pts += [(0.0, 0.0), (lx, ly), (0.0, ly), (lx, 0.0)]
+    expected = [(round(x / grid.h), round(y / grid.h)) for x, y in pts]
+    got = grid.snap_all(pts)
+    assert got.dtype == np.intp
+    assert got.tolist() == [list(c) for c in expected]
+    assert grid.snap_all([]).shape == (0, 2)
+    for bad in [(-1.0, 0.0), (0.0, ly * (1 + 1e-12)), (np.nan, 0.0)]:
+        with pytest.raises(ValueError, match="outside domain"):
+            grid.snap_all(pts[:3] + [bad])
