@@ -420,7 +420,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
         # 0.3 balances smoothing against the peak misfit curvature so that
         # desk-scale budgets run out mid-descent, not at an over-smoothed
         # stationary point.
-        lam = 0.3 * np.sqrt(np.max(h0_diag)) / (nu + 8.0 / cfg.h**2)
+        lam = float(0.3 * np.sqrt(np.max(h0_diag)) / (nu + 8.0 / cfg.h**2))
     else:
         lam = float(cfg.lam)
     return Experiment(cfg=cfg, grid=grid, geom=geom, target=target, data=data,

@@ -150,11 +150,13 @@ class FwiProblem:
 
     def __init__(self, grid: SimGrid, geom: Geometry, data: DataSet,
                  ledger: SolveLedger = None, m_true: ModelGrid = None):
-        n_t = data.observed[0].shape[1]
-        if n_t != grid.nt:
-            raise ValueError(f"data has {n_t} samples per trace, grid says {grid.nt}")
         if len(data.observed) != geom.n_sources:
             raise ValueError("one seismogram per source required")
+        expected = (geom.n_receivers, grid.nt)
+        for i, obs in enumerate(data.observed):
+            if obs.shape != expected:
+                raise ValueError(f"seismogram of source {i} has shape {obs.shape}, "
+                                 f"expected (receivers, samples) = {expected}")
         self.grid = grid
         self.geom = geom
         self.data = data

@@ -12,6 +12,10 @@ derivatives of the *discrete* misfit with respect to m (discretize then
 optimize): Born and adjoint form an exact transpose pair, and the adjoint
 gradient matches finite differences of the discrete objective to near
 machine precision.
+
+All three sweeps run one leapfrog loop, ``_Workspace.march``; the adjoint
+marches the scaled field psi = a v lambda backward in time, because in psi
+the transpose of the time step is the forward step itself.
 """
 
 from __future__ import annotations
@@ -278,7 +282,7 @@ class _Workspace:
     its halo columns are reset to +0.0 after every step.
     """
 
-    def __init__(self, model: ModelGrid, grid: SimGrid, receivers=None):
+    def __init__(self, model: ModelGrid, grid: SimGrid, receivers=()):
         if model.nx != grid.nx or model.ny != grid.ny:
             raise ValueError("model shape does not match the simulation grid")
         self.grid = grid
@@ -287,16 +291,16 @@ class _Workspace:
         self.dt = grid.dt_record / self.k
         self.n_steps = self.k * (grid.nt - 1)
 
-        if receivers is not None:
-            self.receiver_cells = grid.snap_all(receivers) + self.bw
+        self.receiver_cells = grid.snap_all(receivers) + self.bw
         self.shape = (grid.nx + 2 * self.bw, grid.ny + 2 * self.bw)
         self.width = self.shape[1] + 2 * _HALO
         self.size = (self.shape[0] + 2 * _HALO) * self.width
         self._band = slice(_HALO * self.width, (_HALO + self.shape[0]) * self.width)
 
-        # coefficient bands: squared speed and the sponge factors
+        # squared speed on the padded grid, and the step's coefficient bands
         c_int = grid.c0 * (1.0 + model.as_2d())
-        self.v = self.coef(_pad_edge(c_int * c_int, self.bw))
+        self.v = _pad_edge(c_int * c_int, self.bw)
+        self.dt2v = self.coef(self.dt**2 * self.v)
         gamma = _damping_profile(grid)
         self.a = self.coef(1.0 / (1.0 + gamma * self.dt))
         self.b = self.coef(1.0 - gamma * self.dt)
@@ -318,10 +322,6 @@ class _Workspace:
         self.inside(band)[...] = x
         return band
 
-    def flat_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Flat field indices of (n, 2) padded-grid cells."""
-        return (cells[:, 0] + _HALO) * self.width + cells[:, 1] + _HALO
-
     def rezero_halo(self, f: np.ndarray):
         """Reset the band's halo columns to +0.0 after a step wrote them.
 
@@ -331,9 +331,6 @@ class _Workspace:
         lo = self._band.start - _HALO
         seams = f[lo:lo + (self.shape[0] + 1) * self.width].reshape(-1, self.width)
         seams[:, :2 * _HALO] = 0.0
-
-    def lap(self, u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        return _laplacian_band(u, self.width, self.grid.h**2, out, tmp)
 
     def model_chain(self, model: ModelGrid) -> np.ndarray:
         """d(v_padded)/dm diagonal factor on the interior: 2 c0^2 (1 + m)."""
@@ -358,25 +355,28 @@ class _Workspace:
                 f"(substeps={self.k}, dt={self.dt:.4g}s): time stepping is unstable"
             )
 
-    def march(self, excite, what: str) -> np.ndarray:
-        """Leapfrog from rest and return the (n_r, nt) receiver traces.
+    def march(self, excite, what: str):
+        """Leapfrog from rest; return the (n_r, nt) traces sampled at
+        ``receiver_cells`` and the final flat field.
 
-        ``excite(n, rhs)`` sees the step-n right-hand side ``lap(u^n)`` as an
-        (nxp, nyp) view and may edit it in place; a non-None return value, a
-        band, is added to the step before the sponge factor is applied.
+        Step n forms u^{n+1} = a (2 u^n - b u^{n-1} + dt^2 v rhs). Before it,
+        ``excite(n, rhs, u)`` sees ``rhs = lap(u^n)`` as an (nxp, nyp) view,
+        which it may edit in place, and the flat field ``u = u^n``, which it
+        must not; a non-None return value, a band, is added to the step
+        before the sponge factor is applied.
         """
-        k = self.k
-        cells = self.flat_cells(self.receiver_cells)
+        k, h2, rc = self.k, self.grid.h**2, self.receiver_cells
+        cells = (rc[:, 0] + _HALO) * self.width + rc[:, 1] + _HALO
         traces = np.zeros((len(cells), self.grid.nt))
-        dt2v, a, b = self.dt**2 * self.v, self.a, self.b
+        dt2v, a, b = self.dt2v, self.a, self.b
         u_prev, u = self.field(), self.field()
         rhs, tmp = np.empty(dt2v.size), np.empty(dt2v.size)
         rhs_in = self.inside(rhs)
 
         for n in range(self.n_steps):
-            self.lap(u, rhs, tmp)
-            extra = excite(n, rhs_in)
-            # u^{n+1} = a * (2 u^n - b u^{n-1} + dt^2 v rhs), in u^{n-1}'s buffer
+            _laplacian_band(u, self.width, h2, rhs, tmp)
+            extra = excite(n, rhs_in, u)
+            # u^{n+1} in u^{n-1}'s buffer
             nxt = self.band(u_prev)
             np.multiply(b, nxt, out=tmp)
             np.multiply(self.band(u), 2.0, out=nxt)
@@ -391,7 +391,7 @@ class _Workspace:
             if (n + 1) % k == 0:
                 self.guard(self.band(u), n + 1, what)
                 traces[:, (n + 1) // k] = u[cells]
-        return traces
+        return traces, u
 
 
 def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid,
@@ -408,12 +408,12 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
                                    source.t0) / grid.h**2)
     scatter = np.zeros((ws.n_steps,) + ws.shape) if keep_field else None
 
-    def excite(n, rhs):
+    def excite(n, rhs, u):
         rhs[cell] -= f[n]
         if scatter is not None:
             scatter[n] = rhs
 
-    traces = ws.march(excite, "field")
+    traces, _ = ws.march(excite, "field")
     ledger.count_forward()
     wavefield = None
     if keep_field:
@@ -431,6 +431,12 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     with the stored forward scattering source. With q = w^2 * (synthetic -
     observed) this is the gradient of the weighted half-squared misfit.
     Counts one adjoint solve.
+
+    In psi^n = a v lambda^n the transpose scheme lambda^n = 2 a lambda^{n+1}
+    + dt^2 lap(a v lambda^{n+1}) - a b lambda^{n+2} is the forward step
+    psi^n = a (2 psi^{n+1} - b psi^{n+2} + dt^2 v lap(psi^{n+1})): march
+    step j yields psi^{N-j}, the receivers inject q / dt^2 into its
+    right-hand side, and the gradient on v is dt^2 sum_n psi^n scatter[n-1] / v.
     """
     q = np.asarray(weighted_residual_traces, dtype=np.float64)
     n_rec = len(forward_field.receiver_cells)
@@ -441,44 +447,26 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     ws = _Workspace(model, grid)
     ws.check_field(forward_field)
 
-    k = ws.k
-    cells = ws.flat_cells(forward_field.receiver_cells)
-    dt2 = ws.dt**2
-    # a v and a b are formed in place of v and b, which the adjoint does not
-    # read again
-    av, ab = ws.v, ws.b
-    av *= ws.a
-    ab *= ws.a
-    dt2a = dt2 * ws.a
-    two_a = 2.0 * ws.a
+    n_steps, k = ws.n_steps, ws.k
+    rx, ry = forward_field.receiver_cells.T
+    injected = q / ws.dt**2
+    gv = np.zeros(ws.shape)  # sum_n psi^n scatter[n-1]
+    corr = np.empty(ws.shape)
 
-    lam_next = ws.field()   # lambda^{n+1}
-    lam_next2 = ws.field()  # lambda^{n+2}, overwritten by lambda^n
-    scaled = ws.field()     # a v lambda^{n+1}, the Laplacian's operand
-    lap, tmp = np.empty(two_a.size), np.empty(two_a.size)
-    gv = np.zeros(ws.shape)  # gradient w.r.t. squared-speed field
+    def image(psi, n):
+        np.multiply(ws.inside(ws.band(psi)), forward_field.scatter[n - 1], out=corr)
+        np.add(gv, corr, out=gv)
 
-    for n in range(ws.n_steps, 0, -1):
-        # lambda^n = 2 a lambda^{n+1} + dt^2 lap(a v lambda^{n+1}) - a b lambda^{n+2}
-        nb, lam = ws.band(lam_next), ws.band(lam_next2)
-        np.multiply(av, nb, out=ws.band(scaled))
-        ws.lap(scaled, lap, tmp)
-        lap *= dt2
-        np.multiply(ab, lam, out=tmp)
-        np.multiply(two_a, nb, out=lam)
-        lam += lap
-        lam -= tmp
-        ws.rezero_halo(lam_next2)
-        if n % k == 0:
-            np.add.at(lam_next2, cells, q[:, n // k])
-            ws.guard(lam, n, "adjoint field")
-        np.multiply(dt2a, lam, out=tmp)
-        corr = ws.inside(tmp)
-        corr *= forward_field.scatter[n - 1]
-        gv += corr
-        lam_next2, lam_next = lam_next, lam_next2
+    def excite(j, rhs, u):
+        if j:
+            image(u, n_steps + 1 - j)
+        if j % k == 0:
+            # duplicate receivers add up
+            np.add.at(rhs, (rx, ry), injected[:, (n_steps - j) // k])
 
-    grad = ws.model_chain(model) * _fold_edge(gv, ws.bw)
+    _, last = ws.march(excite, "time-reversed adjoint field")
+    image(last, 1)
+    grad = ws.model_chain(model) * _fold_edge(ws.dt**2 * gv / ws.v, ws.bw)
     ledger.count_adjoint()
     return grad.ravel()
 
@@ -504,10 +492,10 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     extra = ws.coef(0.0)
     extra_in = ws.inside(extra)
 
-    def excite(n, rhs):
+    def excite(n, rhs, u):
         np.multiply(kick, forward_field.scatter[n], out=extra_in)
         return extra
 
-    traces = ws.march(excite, "scattered field")
+    traces, _ = ws.march(excite, "scattered field")
     ledger.count_born()
     return traces

@@ -344,6 +344,23 @@ class TestRunComparison:
             assert token in manifest
         assert "time" not in manifest.lower()
 
+    def test_manifest_numbers_are_plain_floats(self, tmp_path):
+        # auto lam is derived from numpy scalars; its repr must not depend on
+        # the numpy version (numpy 2 writes "np.float64(...)")
+        cfg = tiny_config(optimizers=("gogn",))
+        out = tmp_path / "out"
+        run_comparison(cfg, out)
+        section, checked = None, []
+        for line in (out / "manifest.cfg").read_text().splitlines():
+            if line.startswith("["):
+                section = line
+            elif " = " in line and section in ("[derived]", "[results]"):
+                key, value = line.split(" = ", 1)
+                if not key.endswith("_status"):
+                    float(value)
+                    checked.append(key)
+        assert {"lam", "nu", "h0_inf_norm", "gogn_objective"} <= set(checked)
+
 
 class TestAccountingGuard:
     def test_violation_raises(self):

@@ -361,3 +361,18 @@ def test_problem_validates_data_shapes():
     bad = DataSet(observed=[np.zeros((1, grid.nt + 1))], weights=np.ones((1, 1)))
     with pytest.raises(ValueError):
         FwiProblem(grid, geom, bad, SolveLedger())
+
+
+def test_problem_rejects_seismograms_with_the_wrong_receiver_count():
+    grid = make_grid()
+    h = grid.h
+    srcs = [SourceSpec((5 * h, 5 * h), 0.1), SourceSpec((14 * h, 13 * h), 0.1)]
+    recv = [(2 * h, 2 * h), (17 * h, 3 * h), (9 * h, 17 * h)]
+    one_row = DataSet(observed=[np.ones((1, grid.nt))], weights=np.ones((1, 1)))
+    with pytest.raises(ValueError, match="expected"):
+        FwiProblem(grid, Geometry(srcs[:1], recv), one_row, SolveLedger())
+    # every source's seismogram is checked, not only the first
+    short_second = DataSet(observed=[np.ones((3, grid.nt)), np.ones((2, grid.nt))],
+                           weights=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="source 1"):
+        FwiProblem(grid, Geometry(srcs, recv), short_second, SolveLedger())
