@@ -102,6 +102,13 @@ class ExperimentConfig:
         unknown = [n for n in self.optimizers if n not in OPTIMIZER_NAMES]
         if unknown or not self.optimizers:
             raise ConfigError(f"unknown optimizers {unknown}")
+        if len(set(self.optimizers)) != len(self.optimizers):
+            raise ConfigError(f"repeated optimizers in {list(self.optimizers)}")
+        try:
+            for name in self.optimizers:
+                _policy(self, name)
+        except ValueError as exc:
+            raise ConfigError(f"linesearch: {exc}") from None
         for name in ("lam", "nu"):
             raw = getattr(self, name)
             if raw != "auto":
@@ -497,20 +504,26 @@ def _derived_lines(exp: Experiment) -> list:
     ]
 
 
-def write_data_dir(cfg: ExperimentConfig, out_dir) -> Experiment:
-    """Persist target, geometry, and observed data for external use."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    exp = prepare_experiment(cfg)
+def _write_inputs(out: Path, exp: Experiment, tail: list) -> None:
+    """Write the target, the geometry and a manifest of the config, the
+    derived values and `tail`."""
     fileio.write_model(out / "target.modl", exp.target.model)
     fileio.write_pgm(out / "target.pgm", exp.target.model.as_2d(),
                      exp.target.cap)
     (out / "geometry.txt").write_text(
         "\n".join(_geometry_lines(exp.geom, exp.grid.extent)) + "\n")
+    lines = config_lines(exp.cfg) + [""] + _derived_lines(exp) + tail
+    (out / "manifest.cfg").write_text("\n".join(lines) + "\n")
+
+
+def write_data_dir(cfg: ExperimentConfig, out_dir) -> Experiment:
+    """Persist target, geometry, and observed data for external use."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    exp = prepare_experiment(cfg)
     for i, traces in enumerate(exp.data.observed):
         fileio.write_traces(out / f"obs_src{i:03d}.seis", traces)
-    lines = config_lines(cfg) + [""] + _derived_lines(exp)
-    (out / "manifest.cfg").write_text("\n".join(lines) + "\n")
+    _write_inputs(out, exp, [])
     return exp
 
 
@@ -562,14 +575,7 @@ def run_comparison(cfg: ExperimentConfig, out_dir):
             f"{name}_model_error = {last.model_error!r}",
         ]
 
-    fileio.write_model(out / "target.modl", exp.target.model)
-    fileio.write_pgm(out / "target.pgm", exp.target.model.as_2d(),
-                     exp.target.cap)
-    (out / "geometry.txt").write_text(
-        "\n".join(_geometry_lines(exp.geom, exp.grid.extent)) + "\n")
-    lines = (config_lines(cfg) + [""] + _derived_lines(exp) + [""]
-             + result_lines)
-    (out / "manifest.cfg").write_text("\n".join(lines) + "\n")
+    _write_inputs(out, exp, [""] + result_lines)
     return results
 
 

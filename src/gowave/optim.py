@@ -13,15 +13,19 @@ Four methods are implemented on the same objective F(m) = Phi(m) + R(m):
   from the per-source gradients alone, so forming and solving the step
   consumes zero PDE solves beyond the gradient evaluation.
 
-All runs charge PDE work to a Budget wrapping the problem's solve ledger;
-an iteration may start only while the budget is unspent, so at most one
-iteration's cost overshoots. Accepted steps must strictly decrease F.
+The four differ only in how the gradient becomes a direction. Each is a
+direction rule over one loop, _Run.drive: evaluate the gradient, record,
+ask the rule for a step, linesearch along it, repeat. All runs charge PDE
+work to a Budget wrapping the problem's solve ledger; an iteration may
+start only while the budget is unspent, so at most one iteration's cost
+overshoots. Accepted steps must strictly decrease F.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +33,13 @@ from scipy.sparse.linalg import splu
 
 from .gogn import assemble, step_woodbury
 from .wave import ModelGrid
+
+# Fixed optimizer settings; no config key reaches them.
+LBFGS_MEMORY = 10            # (s, y) pairs kept by L-BFGS
+GNCG_CG_TOL = 0.1            # relative residual ending gncg's inner CG
+GNCG_CG_MAXITER = 5          # inner CG iterations (Hessian products) per step
+GNCG_RICHARDSON_ITERS = 300  # sweeps of the preconditioner's base solve
+GNCG_RETAIN_PAIRS = 20       # harvested (v, Hv) pairs kept by gncg
 
 
 @dataclass
@@ -45,6 +56,10 @@ class LinesearchPolicy:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("need at least one linesearch evaluation")
+        if not self.step_cap > 0.0:
+            raise ValueError("step_cap must be positive")
+        if not 0.0 <= self.armijo_c1 < 1.0:
+            raise ValueError("armijo_c1 must lie in [0, 1)")
         if self.quad_interp_phase > self.max_iters:
             raise ValueError("interpolation phase cannot exceed max_iters")
         if self.initial_step_rule not in ("cap", "unit"):
@@ -201,17 +216,24 @@ def two_loop_apply(pairs, base_apply, grad: np.ndarray) -> np.ndarray:
     return z
 
 
-class _Run:
-    """Bookkeeping shared by the optimizer drivers."""
+class _Stop(Exception):
+    """Raised by a direction rule to end the run with `status`."""
 
-    def __init__(self, name, problem, reg, budget, policy, m_start):
+    def __init__(self, status: str):
+        super().__init__(status)
+        self.status = status
+
+
+class _Run:
+    """State of one optimizer run and the loop shared by every driver."""
+
+    def __init__(self, name, problem, reg, budget, policy):
         self.name = name
         self.problem = problem
         self.reg = reg
         self.budget = budget
         self.policy = policy
-        self.values = (np.array(m_start, dtype=np.float64).ravel().copy()
-                       if m_start is not None else reg.m0.copy())
+        self.values = reg.m0.copy()
         self.records = []
         self.status = "budget"
 
@@ -242,12 +264,39 @@ class _Run:
             extra=extra,
         ))
 
-    def result(self) -> RunResult:
+    def drive(self, direction, keep_fields=False) -> RunResult:
+        """Iterate: evaluate, record, ask `direction(g, report)` for the
+        step (p, g.p, extra), linesearch along it, until the budget is
+        spent, the gradient vanishes, the rule raises _Stop or no trial
+        decreases F."""
+        f, g, report = self.eval_fg(self.values, keep_fields)
+        gnorm = float(np.linalg.norm(g))
+        self.record(0, f, gnorm, 0.0, 0)
+        it = 0
+        while not self.budget.exhausted():
+            if gnorm == 0.0:
+                self.status = "converged"
+                break
+            try:
+                p, g0, extra = direction(g, report)
+            except _Stop as stop:
+                self.status = stop.status
+                break
+            alpha, new_values, _, evals = linesearch(
+                self.objective, self.values, p, f, g0, self.policy)
+            if new_values is None:
+                self.status = "stalled"
+                break
+            self.values = new_values
+            f, g, report = self.eval_fg(self.values, keep_fields)
+            gnorm = float(np.linalg.norm(g))
+            it += 1
+            self.record(it, f, gnorm, alpha, evals, extra)
         return RunResult(name=self.name, records=self.records,
                          status=self.status, m_final=self.values)
 
 
-def run_nlcg(problem, reg, h0_diag, budget, policy=None, m_start=None) -> RunResult:
+def run_nlcg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     """Preconditioned Polak-Ribiere+ nonlinear conjugate gradient.
 
     The preconditioner solves (diag(h0) + D^T D) z = grad F exactly through
@@ -255,127 +304,82 @@ def run_nlcg(problem, reg, h0_diag, budget, policy=None, m_start=None) -> RunRes
     restarted to preconditioned steepest descent whenever it fails to be a
     descent direction.
     """
-    policy = policy or LinesearchPolicy(initial_step_rule="cap")
-    run = _Run("nlcg", problem, reg, budget, policy, m_start)
+    run = _Run("nlcg", problem, reg, budget,
+               policy or LinesearchPolicy(initial_step_rule="cap"))
     curv = CurvatureModel(h0_diag, reg)
+    prev = None  # (p, g, z) of the previous direction
 
-    f, g, _ = run.eval_fg(run.values)
-    gnorm = float(np.linalg.norm(g))
-    run.record(0, f, gnorm, 0.0, 0)
-    p = None
-    g_prev = z_prev = None
-    it = 0
-    while not budget.exhausted():
-        if gnorm == 0.0:
-            run.status = "converged"
-            break
+    def direction(g, report):
+        nonlocal prev
         z = curv.solve(g)
-        if p is None:
+        if prev is None:
             p = -z
         else:
+            p_prev, g_prev, z_prev = prev
             denom = float(np.dot(g_prev, z_prev))
             beta = max(0.0, float(np.dot(g - g_prev, z)) / denom)
-            p = -z + beta * p
+            p = -z + beta * p_prev
             if float(np.dot(p, g)) >= 0.0:
                 p = -z  # restart
-        g0 = float(np.dot(g, p))
-        alpha, new_values, f_new, evals = linesearch(run.objective, run.values,
-                                                     p, f, g0, policy)
-        if new_values is None:
-            run.status = "stalled"
-            break
-        run.values = new_values
-        g_prev, z_prev = g, z
-        f, g, _ = run.eval_fg(run.values)
-        gnorm = float(np.linalg.norm(g))
-        it += 1
-        run.record(it, f, gnorm, alpha, evals)
-    return run.result()
+        prev = (p, g, z)
+        return p, float(np.dot(g, p)), ""
+
+    return run.drive(direction)
 
 
-def run_lbfgs(problem, reg, h0_diag, budget, memory: int = 10, policy=None,
-              m_start=None) -> RunResult:
+def run_lbfgs(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     """L-BFGS with curvature-model initialization and direction smoothing.
 
     The two-loop recursion is seeded with exact solves of diag(h0) + D^T D.
     Each raw direction is then smoothed as p = mu * (D^T D)^{-1} p_raw, with
     mu = (lam nu)^2 so the constant mode is left untouched. If the smoothed
     direction fails to point downhill the memory is bypassed for that
-    iteration in favor of smoothed steepest descent.
+    iteration in favor of smoothed steepest descent. The (s, y) pair of a
+    step is admitted when the next direction is asked for.
     """
-    if memory < 1:
-        raise ValueError("memory must be at least 1")
-    policy = policy or LinesearchPolicy(initial_step_rule="cap")
-    run = _Run("lbfgs", problem, reg, budget, policy, m_start)
+    run = _Run("lbfgs", problem, reg, budget,
+               policy or LinesearchPolicy(initial_step_rule="cap"))
     curv = CurvatureModel(h0_diag, reg)
-    pairs = deque(maxlen=memory)  # (s, y, 1/(y^T s))
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1/(y^T s))
+    last = None  # (values, g) the previous direction started from
 
-    f, g, _ = run.eval_fg(run.values)
-    gnorm = float(np.linalg.norm(g))
-    run.record(0, f, gnorm, 0.0, 0)
-    it = 0
-    while not budget.exhausted():
-        if gnorm == 0.0:
-            run.status = "converged"
-            break
+    def direction(g, report):
+        nonlocal last
+        if last is not None:
+            admit_curvature_pair(pairs, run.values - last[0], g - last[1])
+        last = (run.values, g)
         p = -reg.mu * reg.solve_normal(two_loop_apply(pairs, curv.solve, g))
         g0 = float(np.dot(g, p))
         if g0 >= 0.0:
             p = -reg.mu * reg.solve_normal(g)
             g0 = float(np.dot(g, p))
-        alpha, new_values, f_new, evals = linesearch(run.objective, run.values,
-                                                     p, f, g0, policy)
-        if new_values is None:
-            run.status = "stalled"
-            break
-        s = new_values - run.values
-        run.values = new_values
-        f, g_new, _ = run.eval_fg(run.values)
-        y = g_new - g
-        admit_curvature_pair(pairs, s, y)
-        g = g_new
-        gnorm = float(np.linalg.norm(g))
-        it += 1
-        run.record(it, f, gnorm, alpha, evals)
-    return run.result()
+        return p, g0, ""
+
+    return run.drive(direction)
 
 
-def run_gncg(problem, reg, h0_diag, budget, policy=None, m_start=None,
-             cg_tol: float = 1e-1, cg_maxiter: int = 5,
-             richardson_iters: int = 300, retain_pairs: int = 20) -> RunResult:
+def run_gncg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     """Inexact Gauss-Newton-CG with a quasi-Newton preconditioner.
 
     Each inner CG iteration applies the true Gauss-Newton Hessian (2N PDE
-    solves against cached wavefields) plus the regularizer Hessian. The
-    preconditioner is an L-BFGS-style inverse assembled from (v, Hv) pairs
-    harvested in earlier outer iterations; within one CG solve it stays
-    fixed, keeping it a linear operator as CG requires. Its base case is a
-    300-iteration Richardson sweep with the fixed curvature model.
+    solves against cached wavefields) plus the regularizer Hessian, for at
+    most GNCG_CG_MAXITER iterations down to a relative residual of
+    GNCG_CG_TOL. The preconditioner is an L-BFGS-style inverse assembled
+    from the last GNCG_RETAIN_PAIRS (v, Hv) pairs harvested in earlier outer
+    iterations; within one CG solve it stays fixed, keeping it a linear
+    operator as CG requires. Its base case is a GNCG_RICHARDSON_ITERS-sweep
+    Richardson solve with the fixed curvature model.
     """
-    if not 0.0 < cg_tol < 1.0:
-        raise ValueError("cg_tol must lie in (0, 1)")
-    policy = policy or LinesearchPolicy(initial_step_rule="unit")
-    run = _Run("gncg", problem, reg, budget, policy, m_start)
+    run = _Run("gncg", problem, reg, budget,
+               policy or LinesearchPolicy(initial_step_rule="unit"))
     curv = CurvatureModel(h0_diag, reg)
-    harvested = deque(maxlen=retain_pairs)  # (v, Hv, 1/(v^T Hv))
+    harvested = deque(maxlen=GNCG_RETAIN_PAIRS)  # (v, Hv, 1/(v^T Hv))
 
-    def richardson_base(q):
-        return curv.richardson(q, richardson_iters)
+    richardson_base = partial(curv.richardson, iters=GNCG_RICHARDSON_ITERS)
 
-    def preconditioner(pairs_snapshot):
-        return lambda r: two_loop_apply(pairs_snapshot, richardson_base, r)
-
-    # gradient evaluations keep their wavefields for the inner CG solves
-    f, g, report = run.eval_fg(run.values, keep_fields=True)
-    gnorm = float(np.linalg.norm(g))
-    run.record(0, f, gnorm, 0.0, 0)
-    it = 0
-    while not budget.exhausted():
-        if gnorm == 0.0:
-            run.status = "converged"
-            break
+    def direction(g, report):
         # inner preconditioned CG on (H_gn + D^T D) p = -g
-        precond = preconditioner(list(harvested))
+        precond = partial(two_loop_apply, list(harvested), richardson_base)
         b = -g
         x = np.zeros_like(b)
         r = b.copy()
@@ -384,7 +388,7 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None, m_start=None,
         rz = float(np.dot(r, z))
         bnorm = float(np.linalg.norm(b))
         inner = 0
-        while inner < cg_maxiter and not budget.exhausted():
+        while inner < GNCG_CG_MAXITER and not budget.exhausted():
             hd = problem.gn_hessian_vec(run.model(run.values), d,
                                         fields=report.fields) + reg.hess_vec(d)
             dhd = float(np.dot(d, hd))
@@ -397,35 +401,24 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None, m_start=None,
             x = x + alpha_cg * d
             r = r - alpha_cg * hd
             inner += 1
-            if float(np.linalg.norm(r)) <= cg_tol * bnorm:
+            if float(np.linalg.norm(r)) <= GNCG_CG_TOL * bnorm:
                 break
             z_new = precond(r)
             rz_new = float(np.dot(r, z_new))
             d = z_new + (rz_new / rz) * d
             z, rz = z_new, rz_new
         if not np.any(x):
-            run.status = "budget" if budget.exhausted() else "stalled"
-            break
-        p = x
-        g0 = float(np.dot(g, p))
+            raise _Stop("budget" if budget.exhausted() else "stalled")
+        g0 = float(np.dot(g, x))
         if g0 >= 0.0:
-            run.status = "stalled"
-            break
-        alpha, new_values, f_new, evals = linesearch(run.objective, run.values,
-                                                     p, f, g0, policy)
-        if new_values is None:
-            run.status = "stalled"
-            break
-        run.values = new_values
-        f, g, report = run.eval_fg(run.values, keep_fields=True)
-        gnorm = float(np.linalg.norm(g))
-        it += 1
-        run.record(it, f, gnorm, alpha, evals, extra=str(inner))
-    return run.result()
+            raise _Stop("stalled")
+        return x, g0, str(inner)
+
+    # gradient evaluations keep their wavefields for the inner CG solves
+    return run.drive(direction, keep_fields=True)
 
 
-def run_gogn(problem, reg, budget, policy=None, m_start=None,
-             eps_phi: float = 0.0) -> RunResult:
+def run_gogn(problem, reg, budget, policy=None) -> RunResult:
     """Gradient-only Gauss-Newton: Gauss-Newton steps at gradient cost.
 
     Every iteration spends 2N solves on the gradient evaluation, builds the
@@ -434,33 +427,16 @@ def run_gogn(problem, reg, budget, policy=None, m_start=None,
     The direction is provably a descent direction, so no preconditioning
     or smoothing is applied.
     """
-    policy = policy or LinesearchPolicy(initial_step_rule="cap")
-    run = _Run("gogn", problem, reg, budget, policy, m_start)
+    run = _Run("gogn", problem, reg, budget,
+               policy or LinesearchPolicy(initial_step_rule="cap"))
 
-    f, g, report = run.eval_fg(run.values)
-    gnorm = float(np.linalg.norm(g))
-    run.record(0, f, gnorm, 0.0, 0)
-    it = 0
-    while not budget.exhausted():
-        if gnorm == 0.0:
-            run.status = "converged"
-            break
-        J = assemble(report, eps_phi=eps_phi)
-        step = step_woodbury(J, run.values, reg)
+    def direction(g, report):
+        step = step_woodbury(assemble(report), run.values, reg)
         if step.directional_derivative >= 0.0:
             # only possible when the gradient vanishes or the fallback step
             # is zero; nothing left to do
-            run.status = "converged"
-            break
-        alpha, new_values, f_new, evals = linesearch(
-            run.objective, run.values, step.p, f, step.directional_derivative,
-            policy)
-        if new_values is None:
-            run.status = "stalled"
-            break
-        run.values = new_values
-        f, g, report = run.eval_fg(run.values)
-        gnorm = float(np.linalg.norm(g))
-        it += 1
-        run.record(it, f, gnorm, alpha, evals, extra=f"{step.cond_estimate:.6e}")
-    return run.result()
+            raise _Stop("converged")
+        return (step.p, step.directional_derivative,
+                f"{step.cond_estimate:.6e}")
+
+    return run.drive(direction)

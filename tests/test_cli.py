@@ -87,6 +87,14 @@ def test_config_errors_exit_2(tmp_path):
     bad.write_text("[grid]\nnx = tiny\n")
     assert main(["compare", "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == 2
+    # rejected before any solve: the output directory is never made
+    for text in ("[linesearch]\nstep_cap = 0.0\n",
+                 "[linesearch]\nmax_iters = 3\nquad_interp_phase = 5\n",
+                 "[run]\noptimizers = gogn,gogn\n"):
+        bad.write_text(text)
+        assert main(["compare", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     assert main(["render", str(tmp_path / "nothing.modl"), "0.05"]) == 2
     junk = tmp_path / "junk.modl"
     junk.write_bytes(b"JUNKJUNKJUNK")

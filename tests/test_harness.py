@@ -89,6 +89,16 @@ class TestConfig:
             ExperimentConfig(budget=0).validate()
         with pytest.raises(ConfigError, match="must be positive"):
             ExperimentConfig(lam="-2").validate()
+        with pytest.raises(ConfigError, match="step_cap"):
+            ExperimentConfig(ls_step_cap=0.0).validate()
+        with pytest.raises(ConfigError, match="interpolation phase"):
+            ExperimentConfig(ls_max_iters=3,
+                             ls_quad_interp_phase=5).validate()
+        for c1 in (-0.1, 1.0):
+            with pytest.raises(ConfigError, match="armijo_c1"):
+                ExperimentConfig(ls_armijo_c1=c1).validate()
+        with pytest.raises(ConfigError, match="repeated optimizers"):
+            ExperimentConfig(optimizers=("gogn", "gogn")).validate()
 
 
 class TestGeometry:
