@@ -1,7 +1,7 @@
 """Matrix-free waveform inversion toolkit: gradient-only Gauss-Newton and
 baseline optimizers on a self-contained 2D acoustic testbed."""
 
-from .gogn import GoJacobian, GognStep, assemble, step_dense_oracle, step_woodbury
+from .gogn import GoJacobian, GognStep, assemble, step_woodbury
 from .harness import (ConfigError, ExperimentConfig, GeometrySpec, TargetModel,
                       TargetSpec, gen_geometry, gen_target, load_config,
                       prepare_experiment, run_comparison, write_data_dir)

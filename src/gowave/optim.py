@@ -282,6 +282,8 @@ class _Run:
             except _Stop as stop:
                 self.status = stop.status
                 break
+            # free gncg's kept fields before the linesearch and next sweep
+            report = None
             alpha, new_values, _, evals = linesearch(
                 self.objective, self.values, p, f, g0, self.policy)
             if new_values is None:

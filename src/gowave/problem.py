@@ -78,7 +78,8 @@ class MisfitReport:
     """Per-source misfit values and gradients from one evaluation sweep.
 
     ``fields`` optionally carries the forward wavefields so that follow-up
-    Hessian-vector products can reuse them instead of re-simulating.
+    Hessian-vector products can reuse them instead of re-simulating. It is
+    the only place that keeps all N at once; without it a sweep holds one.
     """
 
     phi: np.ndarray
@@ -188,14 +189,14 @@ class FwiProblem:
                 m, src, self.geom.receivers, self.grid, self.ledger,
                 keep_field=want_gradients or keep_fields,
             )
-            wsq_resid = (self.data.weights[:, i] ** 2)[:, None] * (
-                traces - self.data.observed[i]
-            )
-            phi[i] = 0.5 * float(np.sum(wsq_resid * (traces - self.data.observed[i])))
+            resid = traces - self.data.observed[i]
+            wsq_resid = (self.data.weights[:, i] ** 2)[:, None] * resid
+            phi[i] = 0.5 * float(np.sum(wsq_resid * resid))
             if want_gradients:
                 grads[i] = adjoint_solve(m, wsq_resid, fld, self.grid, self.ledger)
             if keep_fields:
                 fields.append(fld)
+            del fld  # unless kept, free this field before the next forward solve
         return phi, grads, fields
 
     def misfit_only(self, m: ModelGrid):
@@ -214,21 +215,22 @@ class FwiProblem:
         """Gauss-Newton Hessian action sum_i J_i^T W_i^2 J_i v, matrix-free.
 
         One Born + one adjoint solve per source, plus one forward solve per
-        source when no cached wavefields are supplied.
+        source when no cached wavefields are supplied. Sources are taken one
+        at a time, so without cached wavefields at most one is alive.
         """
         v = np.asarray(v, dtype=np.float64).ravel()
-        if fields is None:
-            fields = [
-                forward_solve(m, src, self.geom.receivers, self.grid,
-                              self.ledger, keep_field=True)[1]
-                for src in self.geom.sources
-            ]
         out = np.zeros(self.p)
         for i, src in enumerate(self.geom.sources):
+            if fields is None:
+                fld = forward_solve(m, src, self.geom.receivers, self.grid,
+                                    self.ledger, keep_field=True)[1]
+            else:
+                fld = fields[i]
             d_traces = born_solve(m, v, src, self.geom.receivers, self.grid,
-                                  fields[i], self.ledger)
+                                  fld, self.ledger)
             wsq = (self.data.weights[:, i] ** 2)[:, None] * d_traces
-            out += adjoint_solve(m, wsq, fields[i], self.grid, self.ledger)
+            out += adjoint_solve(m, wsq, fld, self.grid, self.ledger)
+            del fld  # free a field solved here before the next forward solve
         return out
 
     def diag_gn_estimate(self, m0: ModelGrid) -> np.ndarray:

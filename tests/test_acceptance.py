@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gowave.harness as harness
-from gowave.gogn import assemble, step_dense_oracle, step_woodbury
+from gowave.gogn import assemble, step_woodbury
 from gowave.harness import ExperimentConfig, GeometrySpec, load_config, run_comparison
 from gowave.ledger import SolveLedger
 from gowave.optim import LinesearchPolicy, linesearch
@@ -35,6 +35,8 @@ from gowave.wave import (
     born_solve,
     forward_solve,
 )
+
+from oracles import step_dense_oracle
 
 
 def _verdict(num, label, failures):

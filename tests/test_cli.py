@@ -1,11 +1,14 @@
 """Exit codes, overrides, and artifacts of the command-line interface."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gowave
 from gowave import fileio
 from gowave.cli import main
 from gowave.harness import ExperimentConfig, GeometrySpec, config_lines
@@ -123,8 +126,11 @@ def test_all_failures_exit_3(tiny_cfg_file, tmp_path, monkeypatch):
 def test_installed_entry_point(tmp_path):
     grid = tmp_path / "m.modl"
     fileio.write_model(grid, ModelGrid(np.zeros(18 * 18), 18, 18))
+    # the child imports the same gowave as this suite, installed or not
+    path = [str(Path(gowave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "gowave.cli", "render", str(grid), "0.05"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "m.pgm").exists()

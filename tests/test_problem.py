@@ -1,9 +1,13 @@
 """Tests for misfits, gradients, weighting, noise, and GN Hessian products."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+import gowave.problem as problem_module
 from gowave.ledger import SolveLedger
+from gowave.optim import Budget, run_gncg
 from gowave.problem import (
     SIGMA_K,
     DataSet,
@@ -13,6 +17,7 @@ from gowave.problem import (
     make_noisy_data,
     receiver_weights,
 )
+from gowave.regularizer import build
 from gowave.wave import ModelGrid, SimGrid, SourceSpec
 
 
@@ -308,6 +313,16 @@ def test_gn_hessian_symmetry_and_psd():
     assert float(np.dot(hv, v)) >= -1e-10 * float(np.dot(v, v))
 
 
+def test_gn_hessian_with_and_without_cached_fields_agree_bitwise():
+    prob, _ = make_problem(n_src=3, sigma=0.05)
+    rng = np.random.default_rng(5)
+    m = ModelGrid(0.01 * rng.standard_normal(prob.p), prob.grid.nx, prob.grid.ny)
+    v = rng.standard_normal(prob.p)
+    report = prob.misfit_and_gradients(m, keep_fields=True)
+    assert np.array_equal(prob.gn_hessian_vec(m, v),
+                          prob.gn_hessian_vec(m, v, fields=report.fields))
+
+
 def test_diag_estimate_clamps_and_stays_positive():
     prob, _ = make_problem(sigma=0.0)
     diag = prob.diag_gn_estimate(ModelGrid.zeros(prob.grid.nx, prob.grid.ny))
@@ -333,6 +348,62 @@ def test_diag_estimate_near_uniform_under_uniform_illumination():
     diag = prob.diag_gn_estimate(m0).reshape(24, 24)
     interior = diag[6:-6, 6:-6]
     assert interior.max() / interior.min() <= 3.0
+
+
+# -- kept wavefields ---------------------------------------------------------
+
+
+@pytest.fixture()
+def peak_fields(monkeypatch):
+    """peak_fields(fn) runs fn and returns the most Wavefields returned by
+    the problem module's forward_solve that were alive at one time."""
+    live = [0, 0]  # alive now, most alive since measuring began
+    solve = problem_module.forward_solve
+
+    def release():
+        live[0] -= 1
+
+    def tracked(*args, **kwargs):
+        traces, fld = solve(*args, **kwargs)
+        if fld is not None:
+            live[0] += 1
+            live[1] = max(live[1], live[0])
+            weakref.finalize(fld, release)
+        return traces, fld
+
+    monkeypatch.setattr(problem_module, "forward_solve", tracked)
+
+    def measure(fn):
+        live[1] = live[0]
+        fn()
+        return live[1]
+
+    return measure
+
+
+def test_hessian_product_without_cached_fields_keeps_one_at_a_time(peak_fields):
+    prob, _ = make_problem(n_src=3, sigma=0.05)
+    m = ModelGrid.zeros(prob.grid.nx, prob.grid.ny)
+    assert peak_fields(lambda: prob.gn_hessian_vec(m, np.ones(prob.p))) == 1
+
+
+def test_gradient_sweep_keeps_one_field_at_a_time(peak_fields):
+    prob, _ = make_problem(n_src=3, sigma=0.05)
+    m = ModelGrid.zeros(prob.grid.nx, prob.grid.ny)
+    assert peak_fields(lambda: prob.misfit_and_gradients(m)) == 1
+
+
+def test_gncg_never_holds_more_than_one_set_of_fields(peak_fields):
+    prob, _ = make_problem(n_src=3, sigma=0.05)
+    grid = prob.grid
+    reg = build(grid.nx, grid.ny, grid.h, 1.0, 1.0 / (5 * grid.h) ** 2,
+                np.zeros(prob.p))
+    h0 = prob.diag_gn_estimate(ModelGrid.zeros(grid.nx, grid.ny))
+    runs = []
+    peak = peak_fields(lambda: runs.append(
+        run_gncg(prob, reg, h0, Budget(prob.ledger, max_solves=10))))
+    assert len(runs[0].records) >= 2  # the second sweep ran after a step
+    assert peak == prob.n_sources
 
 
 # -- validation --------------------------------------------------------------
