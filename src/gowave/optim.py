@@ -147,31 +147,40 @@ def linesearch(objective, m, p, f0: float, g0: float, policy: LinesearchPolicy):
 
 class CurvatureModel:
     """Fixed operator M = diag(h0) + D^T D with exact solves and a damped
-    Richardson sweep, shared by the three baseline optimizers."""
+    Richardson sweep, shared by the three baseline optimizers.
+
+    The sparse LU of M is built on the first ``solve``, so gncg, which only
+    applies M, never factors it. ``harness.run_one`` builds a fresh model
+    for each run, so one run owns it, also when runs execute on several
+    threads.
+    """
 
     def __init__(self, h0_diag: np.ndarray, reg):
         self.h0 = np.asarray(h0_diag, dtype=np.float64).ravel()
         if np.any(self.h0 <= 0):
             raise ValueError("diagonal curvature estimate must be positive")
         self.reg = reg
-        matrix = sp.diags(self.h0) + reg.D.T @ reg.D
-        self._lu = splu(matrix.tocsc())
+        self._lu = None
         self._lambda_max = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.h0 * v + self.reg.hess_vec(v)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            matrix = sp.diags(self.h0) + self.reg.D.T @ self.reg.D
+            self._lu = splu(matrix.tocsc())
         return self._lu.solve(np.asarray(b, dtype=np.float64))
 
-    def lambda_max(self, iters: int = 20) -> float:
-        """Largest eigenvalue by power iteration with a fixed start vector."""
+    def lambda_max(self) -> float:
+        """Largest eigenvalue by 20 steps of power iteration with a fixed
+        start vector."""
         if self._lambda_max is None:
             rng = np.random.default_rng(0)
             v = rng.standard_normal(self.h0.size)
             v /= np.linalg.norm(v)
             est = 0.0
-            for _ in range(iters):
+            for _ in range(20):
                 w = self.apply(v)
                 est = float(np.dot(v, w))
                 nw = np.linalg.norm(w)
@@ -181,11 +190,12 @@ class CurvatureModel:
             self._lambda_max = est
         return self._lambda_max
 
-    def richardson(self, b: np.ndarray, iters: int = 300) -> np.ndarray:
-        """Fixed-iteration-count Richardson solve: linear in b by construction."""
+    def richardson(self, b: np.ndarray) -> np.ndarray:
+        """GNCG_RICHARDSON_ITERS damped Richardson sweeps on M x = b: linear
+        in b by construction."""
         omega = 1.0 / self.lambda_max()
         x = np.zeros_like(b)
-        for _ in range(iters):
+        for _ in range(GNCG_RICHARDSON_ITERS):
             x += omega * (b - self.apply(x))
         return x
 
@@ -377,11 +387,9 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     curv = CurvatureModel(h0_diag, reg)
     harvested = deque(maxlen=GNCG_RETAIN_PAIRS)  # (v, Hv, 1/(v^T Hv))
 
-    richardson_base = partial(curv.richardson, iters=GNCG_RICHARDSON_ITERS)
-
     def direction(g, report):
         # inner preconditioned CG on (H_gn + D^T D) p = -g
-        precond = partial(two_loop_apply, list(harvested), richardson_base)
+        precond = partial(two_loop_apply, list(harvested), curv.richardson)
         b = -g
         x = np.zeros_like(b)
         r = b.copy()

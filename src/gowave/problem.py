@@ -131,10 +131,10 @@ def make_noisy_data(clean: list, sigma: float, seed: int,
     for traces in clean:
         noisy = traces.copy()
         if sigma > 0:
-            for j in range(traces.shape[0]):
-                spectrum = np.fft.fft(traces[j])
-                z = rng.standard_normal(traces.shape[1])
-                noisy[j] += sigma * np.real(np.fft.ifft(z * spectrum))
+            # row j draws the j-th block of the stream, as one draw per trace
+            z = rng.standard_normal(traces.shape)
+            spectrum = np.fft.fft(traces, axis=1)
+            noisy += sigma * np.real(np.fft.ifft(z * spectrum, axis=1))
         observed.append(noisy)
     if weights is None:
         weights = np.ones((clean[0].shape[0], len(clean)))

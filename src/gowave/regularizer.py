@@ -6,9 +6,10 @@ The smallest eigenvalue of D^T D is therefore exactly (lam * nu)^2, the
 curvature floor that the step-quality bounds of the gradient-only Gauss-Newton
 method are built on.
 
-D is factorized once at build time; because D is symmetric, solving
-D^T D x = b costs two triangular-solve passes with the same factorization,
-which is also better conditioned than factoring D^T D itself.
+D is factorized on the first normal solve, so a run that never solves with
+it never pays for the factor; because D is symmetric, solving D^T D x = b
+costs two triangular-solve passes with the same factorization, which is also
+better conditioned than factoring D^T D itself.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ def _neumann_laplacian_1d(n: int) -> sp.csr_matrix:
 class SmoothingOperator:
     """Quadratic smoothing penalty around a reference model.
 
-    Immutable after construction; concurrent solves are safe. Use ``build``
-    to construct one.
+    The sparse LU of D is built, and checked by one round trip through
+    D^T D, on the first ``solve_normal``; nothing else changes after
+    construction. ``harness.run_one`` builds a fresh operator for each run,
+    so one run owns it, also when runs execute on several threads. Use
+    ``build`` to construct one.
     """
 
     def __init__(self, D: sp.spmatrix, lam: float, nu: float, h: float,
@@ -43,15 +47,7 @@ class SmoothingOperator:
         self.nx = nx
         self.ny = ny
         self.p = nx * ny
-        self._factor = splu(D.tocsc())
-        # factorization sanity: round trip one probe vector through D^T D
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(self.p)
-        resid = np.linalg.norm(self.hess_vec(self.solve_normal(b)) - b)
-        if resid > 1e-10 * np.linalg.norm(b):
-            raise RuntimeError(
-                f"smoothing factorization residual {resid:.3e} exceeds contract"
-            )
+        self._factor = None
 
     @property
     def mu(self) -> float:
@@ -69,25 +65,38 @@ class SmoothingOperator:
         Dd = self.D @ self._delta(m)
         return 0.5 * float(np.dot(Dd, Dd))
 
+    # D is exactly symmetric, so grad and hess_vec apply D^T D as D @ D and
+    # never form D.T; the CSR rows of D sum in the order of D.T's CSC columns
     def grad(self, m) -> np.ndarray:
-        return self.D.T @ (self.D @ self._delta(m))
+        return self.D @ (self.D @ self._delta(m))
 
     def hess_vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64).ravel()
         if v.size != self.p:
             raise ValueError(f"vector has {v.size} entries, expected {self.p}")
-        return self.D.T @ (self.D @ v)
+        return self.D @ (self.D @ v)
 
     def solve_normal(self, b: np.ndarray) -> np.ndarray:
         """Solve D^T D x = b; D is symmetric so this is two solves with D."""
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.size != self.p:
             raise ValueError(f"vector has {b.size} entries, expected {self.p}")
+        if self._factor is None:
+            factor = splu(self.D.tocsc())
+            # factorization sanity: round trip one probe vector through D^T D
+            probe = np.random.default_rng(0).standard_normal(self.p)
+            resid = np.linalg.norm(
+                self.hess_vec(factor.solve(factor.solve(probe))) - probe)
+            if resid > 1e-10 * np.linalg.norm(probe):
+                raise RuntimeError(
+                    f"smoothing factorization residual {resid:.3e} exceeds contract"
+                )
+            self._factor = factor
         return self._factor.solve(self._factor.solve(b))
 
 
 def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOperator:
-    """Assemble D = lam * (nu I - lap_h) on an nx x ny grid and factorize it.
+    """Assemble D = lam * (nu I - lap_h) on an nx x ny grid.
 
     m0 is the reference model (array-like of nx * ny entries, or anything with
     a .values attribute of that length). The Neumann boundary closure pins the

@@ -5,10 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gowave import optim, regularizer
 from gowave.ledger import SolveLedger
-from gowave.optim import (Budget, CurvatureModel, LinesearchPolicy,
-                          admit_curvature_pair, linesearch, run_gncg,
-                          run_gogn, run_lbfgs, run_nlcg, two_loop_apply)
+from gowave.optim import (GNCG_RICHARDSON_ITERS, Budget, CurvatureModel,
+                          LinesearchPolicy, admit_curvature_pair, linesearch,
+                          run_gncg, run_gogn, run_lbfgs, run_nlcg,
+                          two_loop_apply)
 from gowave.problem import MisfitReport
 from gowave.regularizer import build
 from gowave.wave import ModelGrid
@@ -261,22 +263,48 @@ class TestCurvatureModel:
         # relaxation w give exactly (1 - (1 - w lam)^n) / lam * v
         lams, vecs = np.linalg.eigh(self.dense)
         omega = 1.0 / self.curv.lambda_max()
+        n = GNCG_RICHARDSON_ITERS
         for idx in (0, P // 2, P - 1):
             lam, v = lams[idx], vecs[:, idx]
-            expect = (1.0 - (1.0 - omega * lam) ** 300) / lam * v
-            got = self.curv.richardson(v, 300)
+            expect = (1.0 - (1.0 - omega * lam) ** n) / lam * v
+            got = self.curv.richardson(v)
             np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-13)
 
     def test_richardson_is_linear(self):
         rng = np.random.default_rng(8)
         u, v = rng.standard_normal(P), rng.standard_normal(P)
-        combo = self.curv.richardson(2.5 * u - 0.5 * v, 50)
-        parts = 2.5 * self.curv.richardson(u, 50) - 0.5 * self.curv.richardson(v, 50)
+        combo = self.curv.richardson(2.5 * u - 0.5 * v)
+        parts = 2.5 * self.curv.richardson(u) - 0.5 * self.curv.richardson(v)
         np.testing.assert_allclose(combo, parts, rtol=1e-11, atol=1e-14)
 
     def test_requires_positive_diagonal(self):
         with pytest.raises(ValueError, match="positive"):
             CurvatureModel(np.zeros(P), self.reg)
+
+
+@pytest.mark.parametrize("name, factored", [
+    ("gncg", {}), ("nlcg", {"optim": 1}), ("gogn", {"regularizer": 1}),
+    ("lbfgs", {"optim": 1, "regularizer": 1})])
+def test_runs_factor_only_what_they_solve_with(monkeypatch, name, factored):
+    # gncg only applies the curvature model and the regularizer Hessian;
+    # the others build each factor they solve with once, on first use
+    built = {}
+
+    def count_in(module):
+        real, key = module.splu, module.__name__.rsplit(".", 1)[-1]
+
+        def splu(matrix):
+            built[key] = built.get(key, 0) + 1
+            return real(matrix)
+        monkeypatch.setattr(module, "splu", splu)
+
+    for module in (optim, regularizer):
+        count_in(module)
+    prob = make_generic(seed=13)
+    res = run_any(name, prob, make_reg(), Budget(prob.ledger, 60),
+                  policy=UNIT if name == "gncg" else CAP)
+    assert len(res.records) >= 3
+    assert built == factored
 
 
 class TestTwoLoop:

@@ -173,6 +173,31 @@ def test_noise_energy_matches_analytic_expectation():
     assert total / n_mc == pytest.approx(expect, rel=0.05)
 
 
+def _noisy_by_trace(clean, sigma, seed):
+    """Reference: the per-trace loop that drew and filtered one row at a time."""
+    rng = np.random.default_rng(seed)
+    observed = []
+    for traces in clean:
+        noisy = traces.copy()
+        if sigma > 0:
+            for j in range(traces.shape[0]):
+                spectrum = np.fft.fft(traces[j])
+                z = rng.standard_normal(traces.shape[1])
+                noisy[j] += sigma * np.real(np.fft.ifft(z * spectrum))
+        observed.append(noisy)
+    return observed
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.0])
+def test_noise_equals_per_trace_reference_bitwise(sigma):
+    rng = np.random.default_rng(11)
+    clean = [rng.standard_normal(shape)
+             for shape in ((16, 257), (16, 257), (5, 100), (1, 64))]
+    data = make_noisy_data(clean, sigma, seed=17)
+    for got, want in zip(data.observed, _noisy_by_trace(clean, sigma, 17)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_make_noisy_data_rejects_negative_sigma():
     with pytest.raises(ValueError):
         make_noisy_data([np.ones((1, 8))], -0.1, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gowave import regularizer
 from gowave.regularizer import build
 
 LAM, NU, H = 0.37, 4.2e-9, 2400.0
@@ -65,6 +66,26 @@ def test_grad_matches_finite_differences():
     eps = 1e-6
     fd = (op.value(m + eps * v) - op.value(m - eps * v)) / (2 * eps)
     assert float(np.dot(g, v)) == pytest.approx(fd, rel=1e-8)
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (13, 7)])
+def test_normal_products_equal_transpose_form_bitwise(nx, ny):
+    # D is symmetric, so applying D twice must reproduce D^T (D v) exactly
+    rng = np.random.default_rng(12)
+    m0 = rng.standard_normal(nx * ny)
+    op = build(nx, ny, H, LAM, NU, m0)
+    v = rng.standard_normal(op.p)
+    np.testing.assert_array_equal(op.hess_vec(v), op.D.T @ (op.D @ v))
+    np.testing.assert_array_equal(op.grad(v), op.D.T @ (op.D @ (v - m0)))
+
+
+def test_broken_factorization_is_caught_on_first_solve(monkeypatch):
+    real_splu = regularizer.splu
+    monkeypatch.setattr(regularizer, "splu",
+                        lambda matrix: real_splu(2.0 * matrix))
+    op = small_op()  # building factors nothing, so it succeeds
+    with pytest.raises(RuntimeError, match="exceeds contract"):
+        op.solve_normal(np.ones(op.p))
 
 
 def test_solve_normal_round_trip():
