@@ -417,6 +417,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
              for src in geom.sources]
     weights = receiver_weights(geom, clean)
     data = make_noisy_data(clean, cfg.sigma, cfg.noise_seed, weights)
+    del clean
 
     setup_problem = FwiProblem(grid, geom, data, ledger=setup_ledger)
     m0 = ModelGrid(np.zeros(cfg.nx * cfg.ny), cfg.nx, cfg.ny)

@@ -21,6 +21,7 @@ the transpose of the time step is the forward step itself.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +165,14 @@ class Wavefield:
     (dt = dt_record / substeps). A model perturbation dv scatters the wave
     through ``dv * scatter[n]``, so the adjoint correlates against it and
     the Born sweep is driven by it without touching the forward field again.
+
+    Each ``scatter[n]`` is stored in the march's band layout: the padded
+    rows at full width, with _HALO columns on either side. The halo columns
+    carry no meaning; the sweeps multiply them by a zero and discard the
+    product.
     """
 
-    scatter: np.ndarray            # (n_steps, nxp, nyp)
+    scatter: np.ndarray            # (n_steps, nxp, nyp + 2 * _HALO)
     substeps: int
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
     nt: int
@@ -234,6 +240,23 @@ def _laplacian_band(u: np.ndarray, width: int, h2: float, out: np.ndarray,
     out += tmp
     out /= h2
     return out
+
+
+if hasattr(mmap, "MAP_ANONYMOUS"):
+    def _kept_rows(shape) -> np.ndarray:
+        """An uninitialised float64 array in an anonymous mapping of its own.
+
+        Dropping the array unmaps it, so a kept field's pages go back to the
+        system at once instead of staying in malloc's heap. Huge pages are
+        asked for, as numpy does for its own arrays of 4 MB and more.
+        """
+        mm = mmap.mmap(-1, 8 * math.prod(shape),
+                       flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            mm.madvise(mmap.MADV_HUGEPAGE)
+        return np.frombuffer(mm, dtype=np.float64).reshape(shape)
+else:
+    _kept_rows = np.empty
 
 
 def _pad_edge(interior: np.ndarray, pad: int) -> np.ndarray:
@@ -336,9 +359,17 @@ class _Workspace:
         """d(v_padded)/dm diagonal factor on the interior: 2 c0^2 (1 + m)."""
         return 2.0 * self.grid.c0**2 * (1.0 + model.as_2d())
 
-    def check_field(self, field: Wavefield):
-        if field.substeps != self.k or field.scatter.shape != (self.n_steps,) + self.shape:
+    def band_offsets(self, cells: np.ndarray) -> np.ndarray:
+        """Offsets of (n, 2) padded-grid cells within a band."""
+        return cells[:, 0] * self.width + cells[:, 1] + _HALO
+
+    def check_field(self, field: Wavefield) -> np.ndarray:
+        """Check that ``field`` fits this model and grid; return its
+        scattering source as (n_steps, band size) rows."""
+        if field.substeps != self.k or \
+                field.scatter.shape != (self.n_steps, self.shape[0], self.width):
             raise ValueError("forward field was produced with a different model or grid")
+        return field.scatter.reshape(self.n_steps, -1)
 
     def guard(self, field: np.ndarray, n: int, what: str):
         """Raise SolverBlowupError if ``field`` at internal step n is not
@@ -347,7 +378,11 @@ class _Workspace:
         The sweeps pass a field's band once its halo columns are +0.0, which
         gives the same verdict and magnitude as the interior alone.
         """
-        # NaN fails both comparisons
+        # Every partial sum of squares is at least each x^2, so a sum below
+        # 1e199 bounds every |x| below 1e100 and rules out NaN in one pass.
+        # Otherwise the exact test decides; NaN fails both its comparisons.
+        if np.dot(field, field) < 1e199:
+            return
         if not (field.max() <= 1e100 and field.min() >= -1e100):
             amax = float(np.abs(field).max())
             raise SolverBlowupError(
@@ -355,27 +390,29 @@ class _Workspace:
                 f"(substeps={self.k}, dt={self.dt:.4g}s): time stepping is unstable"
             )
 
-    def march(self, excite, what: str):
+    def march(self, excite, what: str, rhs_rows=None):
         """Leapfrog from rest; return the (n_r, nt) traces sampled at
         ``receiver_cells`` and the final flat field.
 
         Step n forms u^{n+1} = a (2 u^n - b u^{n-1} + dt^2 v rhs). Before it,
-        ``excite(n, rhs, u)`` sees ``rhs = lap(u^n)`` as an (nxp, nyp) view,
-        which it may edit in place, and the flat field ``u = u^n``, which it
-        must not; a non-None return value, a band, is added to the step
-        before the sponge factor is applied.
+        ``excite(n, rhs, u)`` sees ``rhs = lap(u^n)`` as a band, which it may
+        edit in place, and the flat field ``u = u^n``, which it must not; a
+        non-None return value, a band, is added to the step before the
+        sponge factor is applied. Given ``rhs_rows``, an (n_steps, band
+        size) array, step n forms its right-hand side in ``rhs_rows[n]``.
         """
-        k, h2, rc = self.k, self.grid.h**2, self.receiver_cells
-        cells = (rc[:, 0] + _HALO) * self.width + rc[:, 1] + _HALO
+        k, h2 = self.k, self.grid.h**2
+        cells = _HALO * self.width + self.band_offsets(self.receiver_cells)
         traces = np.zeros((len(cells), self.grid.nt))
         dt2v, a, b = self.dt2v, self.a, self.b
         u_prev, u = self.field(), self.field()
         rhs, tmp = np.empty(dt2v.size), np.empty(dt2v.size)
-        rhs_in = self.inside(rhs)
 
         for n in range(self.n_steps):
+            if rhs_rows is not None:
+                rhs = rhs_rows[n]
             _laplacian_band(u, self.width, h2, rhs, tmp)
-            extra = excite(n, rhs_in, u)
+            extra = excite(n, rhs, u)
             # u^{n+1} in u^{n-1}'s buffer
             nxt = self.band(u_prev)
             np.multiply(b, nxt, out=tmp)
@@ -402,18 +439,16 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     None unless keep_field is set. Counts one forward solve on the ledger.
     """
     ws = _Workspace(model, grid, receivers)
-    sx, sy = grid.snap(source.position)
-    cell = (sx + ws.bw, sy + ws.bw)
+    cell = ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0]
     f = (source.amplitude * ricker(ws.dt * np.arange(ws.n_steps), source.frequency,
                                    source.t0) / grid.h**2)
-    scatter = np.zeros((ws.n_steps,) + ws.shape) if keep_field else None
+    scatter = _kept_rows((ws.n_steps, ws.shape[0], ws.width)) if keep_field else None
 
     def excite(n, rhs, u):
         rhs[cell] -= f[n]
-        if scatter is not None:
-            scatter[n] = rhs
 
-    traces, _ = ws.march(excite, "field")
+    traces, _ = ws.march(excite, "field",
+                         None if scatter is None else scatter.reshape(ws.n_steps, -1))
     ledger.count_forward()
     wavefield = None
     if keep_field:
@@ -445,16 +480,16 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
             f"residual traces have shape {q.shape}, expected ({n_rec}, {grid.nt})"
         )
     ws = _Workspace(model, grid)
-    ws.check_field(forward_field)
+    scatter = ws.check_field(forward_field)
 
     n_steps, k = ws.n_steps, ws.k
-    rx, ry = forward_field.receiver_cells.T
+    receivers = ws.band_offsets(forward_field.receiver_cells)
     injected = q / ws.dt**2
-    gv = np.zeros(ws.shape)  # sum_n psi^n scatter[n-1]
-    corr = np.empty(ws.shape)
+    gv = ws.coef(0.0)  # sum_n psi^n scatter[n-1], as a band
+    corr = np.empty(gv.size)
 
     def image(psi, n):
-        np.multiply(ws.inside(ws.band(psi)), forward_field.scatter[n - 1], out=corr)
+        np.multiply(ws.band(psi), scatter[n - 1], out=corr)
         np.add(gv, corr, out=gv)
 
     def excite(j, rhs, u):
@@ -462,11 +497,11 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
             image(u, n_steps + 1 - j)
         if j % k == 0:
             # duplicate receivers add up
-            np.add.at(rhs, (rx, ry), injected[:, (n_steps - j) // k])
+            np.add.at(rhs, receivers, injected[:, (n_steps - j) // k])
 
     _, last = ws.march(excite, "time-reversed adjoint field")
     image(last, 1)
-    grad = ws.model_chain(model) * _fold_edge(ws.dt**2 * gv / ws.v, ws.bw)
+    grad = ws.model_chain(model) * _fold_edge(ws.dt**2 * ws.inside(gv) / ws.v, ws.bw)
     ledger.count_adjoint()
     return grad.ravel()
 
@@ -485,15 +520,14 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     if direction.size != model.p:
         raise ValueError(f"direction has {direction.size} entries, expected {model.p}")
     ws = _Workspace(model, grid, receivers)
-    ws.check_field(forward_field)
+    scatter = ws.check_field(forward_field)
 
     dv = _pad_edge(ws.model_chain(model) * direction.reshape(model.nx, model.ny), ws.bw)
-    kick = ws.dt**2 * dv
-    extra = ws.coef(0.0)
-    extra_in = ws.inside(extra)
+    kick = ws.coef(ws.dt**2 * dv)
+    extra = np.empty(kick.size)
 
     def excite(n, rhs, u):
-        np.multiply(kick, forward_field.scatter[n], out=extra_in)
+        np.multiply(kick, scatter[n], out=extra)
         return extra
 
     traces, _ = ws.march(excite, "scattered field")

@@ -1,6 +1,8 @@
 """Tests for the finite-difference wave solver and its adjoint machinery."""
 
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,10 +187,13 @@ def test_blowup_guard_raises_with_diagnostic(monkeypatch):
 
 
 @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"),
-                                        (1e101, "1e+101"), (-1e101, "1e+101")])
+                                        (1e101, "1e+101"), (-1e101, "1e+101"),
+                                        (np.nextafter(1e100, np.inf), "1e+100")])
 def test_guard_raises_on_non_finite_or_huge_entries(bad, shown):
     grid = small_grid()
     ws = wave._Workspace(ModelGrid.zeros(grid.nx, grid.ny), grid)
+    # a sum of squares past the quick bound falls back to the exact test
+    ws.guard(np.full(ws.dt2v.size, 1e99), 3, "field")
     field = ws.field()
     inside = ws.inside(ws.band(field))
     inside[5, 7] = -1e100  # the largest magnitude that still passes
@@ -286,7 +291,7 @@ def adjoint_reference(model, q, fld, grid):
                - a * b * lam_next2)
         if n % k == 0:
             np.add.at(lam, (rx, ry), q[:, n // k])
-        gv += dt**2 * a * lam * fld.scatter[n - 1]
+        gv += dt**2 * a * lam * fld.scatter[n - 1][:, wave._HALO:-wave._HALO]
         lam_next2, lam_next = lam_next, lam
     return (2.0 * grid.c0**2 * (1.0 + model.as_2d()) * wave._fold_edge(gv, bw)).ravel()
 
@@ -408,6 +413,30 @@ def test_wavefield_validates_snapshot_count():
     with pytest.raises(ValueError):
         Wavefield(scatter=np.zeros((5, 4, 4)), substeps=2,
                   receiver_cells=np.zeros((1, 2), dtype=np.intp), nt=4)
+
+
+def test_dropped_kept_fields_return_their_memory():
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("needs /proc/self/statm")
+    page = os.sysconf("SC_PAGE_SIZE")
+
+    def rss():
+        return int(statm.read_text().split()[1]) * page
+
+    # desk size: 149 steps of 104 x 108 band rows, 13.4 MB per field; in
+    # malloc's heap the second field would keep its pages after the first
+    # had raised the mmap threshold
+    grid = SimGrid(nx=64, ny=64, h=8000.0, c0=3150.0, dt_record=1.0, nt=150)
+    m = ModelGrid.zeros(grid.nx, grid.ny)
+    src = SourceSpec(position=(32 * grid.h, 32 * grid.h), frequency=0.1)
+    for _ in range(2):
+        _, fld = forward_solve(m, src, cells(grid, (8, 8)), grid, SolveLedger(),
+                               keep_field=True)
+        nbytes = fld.scatter.nbytes
+        held = rss()
+        del fld
+        assert held - rss() >= 0.9 * nbytes
 
 
 # -- type validation ---------------------------------------------------------
