@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .regularizer import SmoothingOperator
 
@@ -47,19 +46,16 @@ class GognStep:
     fallback: bool = False
 
 
-def assemble(report, eps_phi: float = 0.0) -> GoJacobian:
+def assemble(report) -> GoJacobian:
     """Build the gradient-only Jacobian from a misfit report.
 
-    Sources with phi_i > eps_phi contribute row grad(phi_i) / sqrt(2 phi_i);
-    the rest get zero rows and are marked inactive. The default threshold
-    keeps every source that is not exactly fit, since the row is finite
-    (if large) for any phi_i > 0. Consumes no PDE solves.
+    Sources with phi_i > 0 contribute row grad(phi_i) / sqrt(2 phi_i), which
+    is finite (if large) for any phi_i > 0; exactly fit sources get zero rows
+    and are marked inactive. Consumes no PDE solves.
     """
-    if eps_phi < 0:
-        raise ValueError("eps_phi must be non-negative")
     phi = np.asarray(report.phi, dtype=np.float64)
     grads = np.asarray(report.gradients, dtype=np.float64)
-    active = phi > eps_phi
+    active = phi > 0.0
     rho = np.where(active, np.sqrt(2.0 * phi), 0.0)
     rows = np.zeros_like(grads)
     if np.any(active):
@@ -96,6 +92,7 @@ def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
 
     ajt = np.column_stack([reg.solve_normal(rows[i]) for i in range(n_a)])
     small = np.eye(n_a) + rows @ ajt  # I + J A J^T, SPD by construction
+    import scipy.linalg
     try:
         chol = scipy.linalg.cho_factor(small)
     except scipy.linalg.LinAlgError as exc:

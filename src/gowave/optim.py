@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .gogn import assemble, step_woodbury
+from .regularizer import splu
 from .wave import ModelGrid
 
 # Fixed optimizer settings; no config key reaches them.
@@ -168,6 +167,7 @@ class CurvatureModel:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self._lu is None:
+            import scipy.sparse as sp
             matrix = sp.diags(self.h0) + self.reg.D.T @ self.reg.D
             self._lu = splu(matrix.tocsc())
         return self._lu.solve(np.asarray(b, dtype=np.float64))

@@ -88,18 +88,18 @@ class MisfitReport:
     fields: list = field(default=None, repr=False)
 
 
-def receiver_weights(geom: Geometry, clean: list, sigma_k: float = SIGMA_K) -> np.ndarray:
+def receiver_weights(geom: Geometry, clean: list) -> np.ndarray:
     """Per-trace weights combining amplitude and receiver-density corrections.
 
     w_ij = 1 / (||s_ij|| * sqrt(mean_l k(||x_j - x_l||))) with a Gaussian
-    kernel k of width sigma_k (meters). Dense receiver patches are
+    kernel k of width SIGMA_K (meters). Dense receiver patches are
     down-weighted so they do not dominate the misfit; the amplitude factor
     whitens across offsets. Zero-norm traces get weight 0 with a warning.
     """
     pos = np.asarray(geom.receivers, dtype=np.float64)
     diff = pos[:, None, :] - pos[None, :, :]
     dist2 = np.sum(diff * diff, axis=2)
-    kernel = np.exp(-dist2 / (2.0 * sigma_k**2)) / (np.sqrt(2.0 * np.pi) * sigma_k)
+    kernel = np.exp(-dist2 / (2.0 * SIGMA_K**2)) / (np.sqrt(2.0 * np.pi) * SIGMA_K)
     density = kernel.mean(axis=1)  # (n_r,), strictly positive (k(0) term)
 
     w = np.zeros((geom.n_receivers, geom.n_sources))

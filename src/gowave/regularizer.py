@@ -6,40 +6,39 @@ The smallest eigenvalue of D^T D is therefore exactly (lam * nu)^2, the
 curvature floor that the step-quality bounds of the gradient-only Gauss-Newton
 method are built on.
 
-D is factorized on the first normal solve, so a run that never solves with
-it never pays for the factor; because D is symmetric, solving D^T D x = b
-costs two triangular-solve passes with the same factorization, which is also
-better conditioned than factoring D^T D itself.
+D is held as its five diagonals and applied with numpy, bit for bit as
+scipy's CSR product on finite vectors. The CSR matrix is derived only to
+factorize D, on the first normal solve, which is also where scipy is first
+imported. Because D is symmetric, solving D^T D x = b costs two
+triangular-solve passes with the same factorization, which is also better
+conditioned than factoring D^T D itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 
-def _neumann_laplacian_1d(n: int) -> sp.csr_matrix:
-    """1D second-difference matrix with reflecting (Neumann) end closure."""
-    main = np.full(n, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
+def splu(matrix):
+    """scipy's sparse LU, imported on the first factorization."""
+    from scipy.sparse.linalg import splu as factorize
+    return factorize(matrix)
 
 
 class SmoothingOperator:
     """Quadratic smoothing penalty around a reference model.
 
-    The sparse LU of D is built, and checked by one round trip through
-    D^T D, on the first ``solve_normal``; nothing else changes after
-    construction. ``harness.run_one`` builds a fresh operator for each run,
-    so one run owns it, also when runs execute on several threads. Use
-    ``build`` to construct one.
+    Row i of ``diagonals`` holds D[i, i + k] for k = -ny, -1, 0, 1, ny, and
+    zero where cell i has no such neighbour. The CSR matrix ``D`` and its
+    sparse LU, checked by one round trip through D^T D, are built on first
+    use; ``harness.run_one`` builds a fresh operator for each run, so one run
+    owns it and its scratch array, also when runs execute on several
+    threads. Use ``build`` to construct one.
     """
 
-    def __init__(self, D: sp.spmatrix, lam: float, nu: float, h: float,
+    def __init__(self, diagonals: np.ndarray, lam: float, nu: float, h: float,
                  m0: np.ndarray, nx: int, ny: int):
-        self.D = D.tocsr()
+        self.diagonals = np.asarray(diagonals, dtype=np.float64).reshape(5, nx * ny)
         self.lam = float(lam)
         self.nu = float(nu)
         self.h = float(h)
@@ -47,7 +46,33 @@ class SmoothingOperator:
         self.nx = nx
         self.ny = ny
         self.p = nx * ny
+        self._offsets = (-ny, -1, 0, 1, ny)
+        self._scratch = np.empty(self.p)
+        self._terms = []  # per offset k: D[rows, rows + k], rows, rows + k, scratch
+        for d, k in zip(self.diagonals, self._offsets):
+            rows = slice(max(-k, 0), self.p - max(k, 0))
+            self._terms.append((d[rows], rows, slice(rows.start + k, rows.stop + k),
+                                self._scratch[rows]))
+        self._D = None
         self._factor = None
+
+    @property
+    def D(self):
+        """D as a scipy CSR matrix; the conversion drops the zero entries."""
+        if self._D is None:
+            import scipy.sparse as sp
+            self._D = sp.diags([t[0] for t in self._terms], self._offsets, format="csr")
+        return self._D
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """D @ v in CSR order: from +0.0, add the products by ascending offset
+        (a zero entry adds a signed zero, which leaves a finite sum as it is)."""
+        out = np.zeros(self.p)
+        for coef, rows, cols, t in self._terms:
+            o = out[rows]
+            np.multiply(coef, v[cols], out=t)
+            np.add(o, t, out=o)
+        return out
 
     @property
     def mu(self) -> float:
@@ -62,19 +87,19 @@ class SmoothingOperator:
         return values - self.m0
 
     def value(self, m) -> float:
-        Dd = self.D @ self._delta(m)
+        Dd = self._apply(self._delta(m))
         return 0.5 * float(np.dot(Dd, Dd))
 
-    # D is exactly symmetric, so grad and hess_vec apply D^T D as D @ D and
-    # never form D.T; the CSR rows of D sum in the order of D.T's CSC columns
+    # D is exactly symmetric, so grad and hess_vec apply D^T D as D twice;
+    # the CSR rows of D sum in the order of D.T's CSC columns
     def grad(self, m) -> np.ndarray:
-        return self.D @ (self.D @ self._delta(m))
+        return self._apply(self._apply(self._delta(m)))
 
     def hess_vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64).ravel()
         if v.size != self.p:
             raise ValueError(f"vector has {v.size} entries, expected {self.p}")
-        return self.D @ (self.D @ v)
+        return self._apply(self._apply(v))
 
     def solve_normal(self, b: np.ndarray) -> np.ndarray:
         """Solve D^T D x = b; D is symmetric so this is two solves with D."""
@@ -96,7 +121,7 @@ class SmoothingOperator:
 
 
 def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOperator:
-    """Assemble D = lam * (nu I - lap_h) on an nx x ny grid.
+    """Compute the diagonals of D = lam * (nu I - lap_h) on an nx x ny grid.
 
     m0 is the reference model (array-like of nx * ny entries, or anything with
     a .values attribute of that length). The Neumann boundary closure pins the
@@ -104,12 +129,18 @@ def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOpe
     """
     if lam <= 0 or nu <= 0:
         raise ValueError("smoothing parameters lam and nu must be positive")
+    if min(nx, ny) < 2:
+        raise ValueError(f"smoothing grid {nx} x {ny} needs at least 2 x 2 cells")
     m0 = m0.values if hasattr(m0, "values") else np.asarray(m0, dtype=np.float64)
     if m0.size != nx * ny:
         raise ValueError(f"reference model has {m0.size} entries, expected {nx * ny}")
 
-    tx = _neumann_laplacian_1d(nx)
-    ty = _neumann_laplacian_1d(ny)
-    lap = (sp.kron(tx, sp.identity(ny)) + sp.kron(sp.identity(nx), ty)) / h**2
-    D = lam * (nu * sp.identity(nx * ny) - lap)
-    return SmoothingOperator(D.tocsr(), lam, nu, h, m0, nx, ny)
+    # the values of a sparse assembly, which counts -2 per axis (-1 at a
+    # Neumann end) and divides by h**2 by multiplying by its reciprocal
+    inv_h2 = 1 / h**2
+    ends = [np.r_[-1.0, np.full(n - 2, -2.0), -1.0] for n in (nx, ny)]
+    diagonals = np.zeros((5, nx, ny))
+    diagonals[2] = lam * (nu - np.add.outer(*ends) * inv_h2)
+    diagonals[0, 1:] = diagonals[1, :, 1:] = lam * (0.0 - inv_h2)
+    diagonals[3, :, :-1] = diagonals[4, :-1] = lam * (0.0 - inv_h2)
+    return SmoothingOperator(diagonals, lam, nu, h, m0, nx, ny)

@@ -1,6 +1,7 @@
 """Reference implementations that the tests check the package against."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from gowave.gogn import GoJacobian, GognStep, _gradient
 from gowave.regularizer import SmoothingOperator
@@ -35,3 +36,21 @@ def step_dense_oracle(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
         directional_derivative=float(np.dot(grad, p)),
         fallback=J.n_active == 0,
     )
+
+
+def _neumann_laplacian_1d(n: int) -> sp.csr_matrix:
+    """1D second-difference matrix with reflecting (Neumann) end closure."""
+    main = np.full(n, -2.0)
+    main[0] = main[-1] = -1.0
+    off = np.ones(n - 1)
+    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
+
+
+def smoothing_matrix_oracle(nx: int, ny: int, h: float, lam: float,
+                            nu: float) -> sp.csr_matrix:
+    """Reference path: D = lam * (nu I - lap_h) assembled from sparse
+    Kronecker products of the 1D Neumann Laplacians."""
+    tx = _neumann_laplacian_1d(nx)
+    ty = _neumann_laplacian_1d(ny)
+    lap = (sp.kron(tx, sp.identity(ny)) + sp.kron(sp.identity(nx), ty)) / h**2
+    return (lam * (nu * sp.identity(nx * ny) - lap)).tocsr()

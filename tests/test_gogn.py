@@ -65,14 +65,6 @@ def test_assemble_zero_misfit_rows_inactive():
     assert J.rho[0] == 0.0 and J.n_active == 1
 
 
-def test_assemble_threshold_deactivates_small_misfits():
-    grads = np.ones((2, 8))
-    J = assemble(report_of([1e-9, 1.0], grads), eps_phi=1e-6)
-    assert list(J.active) == [False, True]
-    with pytest.raises(ValueError):
-        assemble(report_of([1.0], np.ones((1, 8))), eps_phi=-1.0)
-
-
 # -- step correctness --------------------------------------------------------
 
 

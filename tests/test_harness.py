@@ -1,5 +1,10 @@
 """Config handling, geometry/target synthesis, and comparison-run contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -404,3 +409,26 @@ def test_render_file(tmp_path):
     raw = dst.read_bytes()
     assert raw.startswith(b"P5\n18 18\n255\n")
     assert set(raw.split(b"\n", 3)[3]) == {128}
+
+
+def test_scipy_is_imported_only_by_a_run_that_factorizes():
+    # gncg only applies its operators; gogn factors D on its first step
+    script = """
+import sys
+import gowave
+from gowave.harness import ExperimentConfig, GeometrySpec, prepare_experiment, run_one
+def loaded():
+    return any(m.split('.')[0] == 'scipy' for m in sys.modules)
+print(loaded())
+exp = prepare_experiment(ExperimentConfig(
+    nx=20, ny=20, h=8000.0, nt=50, boundary_width=8, budget=12,
+    geometry=GeometrySpec(kind='uniform', n_sources=2, n_receivers=8)))
+run_one(exp, 'gncg')
+print(loaded())
+run_one(exp, 'gogn')
+print(loaded())
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False", "True"]

@@ -6,6 +6,8 @@ import pytest
 from gowave import regularizer
 from gowave.regularizer import build
 
+from oracles import smoothing_matrix_oracle
+
 LAM, NU, H = 0.37, 4.2e-9, 2400.0
 
 
@@ -77,6 +79,46 @@ def test_normal_products_equal_transpose_form_bitwise(nx, ny):
     v = rng.standard_normal(op.p)
     np.testing.assert_array_equal(op.hess_vec(v), op.D.T @ (op.D @ v))
     np.testing.assert_array_equal(op.grad(v), op.D.T @ (op.D @ (v - m0)))
+
+
+# at h = 700, 3 / h**2 and 3 * (1 / h**2) round differently
+@pytest.mark.parametrize("h", [H, 700.0])
+@pytest.mark.parametrize("nx, ny", [(64, 64), (128, 128), (13, 7), (8, 12)])
+def test_csr_matrix_is_byte_identical_to_sparse_assembly(nx, ny, h):
+    D = build(nx, ny, h, LAM, NU, np.zeros(nx * ny)).D
+    ref = smoothing_matrix_oracle(nx, ny, h, LAM, NU)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(D, part).dtype == getattr(ref, part).dtype
+        assert getattr(D, part).tobytes() == getattr(ref, part).tobytes()
+
+
+def awkward_vector(rng, p, kind):
+    """Entries of both signs, about half of them +0 or -0, so that some rows
+    of D meet only zeros; the rest are standard normal ("normal"), span
+    1e-300 to 1e300 ("extreme"), or are signed zeros too ("zeros")."""
+    magnitude = {"normal": np.abs(rng.standard_normal(p)), "zeros": np.zeros(p),
+                 "extreme": 10.0 ** rng.uniform(-300, 300, p)}[kind]
+    v = rng.choice((-1.0, 1.0), p) * magnitude
+    v[rng.random(p) < 0.3] = 0.0
+    v[rng.random(p) < 0.3] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("nx, ny, h", [(64, 64, H), (13, 7, 700.0), (8, 12, H)])
+@pytest.mark.parametrize("kind", ["normal", "extreme", "zeros"])
+def test_products_equal_csr_products_bitwise(nx, ny, h, kind):
+    ref = smoothing_matrix_oracle(nx, ny, h, LAM, NU)
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        m0 = awkward_vector(rng, nx * ny, kind)
+        v = awkward_vector(rng, nx * ny, kind)
+        op = build(nx, ny, h, LAM, NU, m0)
+        Dd = ref @ (v - m0)
+        with np.errstate(over="ignore"):  # extreme entries square to inf
+            assert (np.float64(op.value(v)).tobytes()
+                    == np.float64(0.5 * float(np.dot(Dd, Dd))).tobytes())
+        assert op.grad(v).tobytes() == (ref.T @ Dd).tobytes()
+        assert op.hess_vec(v).tobytes() == (ref.T @ (ref @ v)).tobytes()
 
 
 def test_broken_factorization_is_caught_on_first_solve(monkeypatch):
@@ -155,6 +197,8 @@ def test_build_rejects_bad_parameters():
         build(8, 8, H, LAM, -1.0, np.zeros(64))
     with pytest.raises(ValueError):
         build(8, 8, H, LAM, NU, np.zeros(63))
+    with pytest.raises(ValueError, match="2 x 2"):
+        build(8, 1, H, LAM, NU, np.zeros(8))
 
 
 def test_operator_accepts_model_grids():
