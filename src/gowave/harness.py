@@ -79,6 +79,15 @@ class ExperimentConfig:
     ls_step_cap: float = 0.05
 
     def validate(self):
+        for section, keys in _TABLE.items():
+            for key, attr in keys.items():
+                value = _get(self, attr)
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+                if key in ("seed", "sigma") and value < 0:
+                    raise ConfigError(f"{section}.{key} must be non-negative")
+                if key in ("budget", "threads") and value < 1:
+                    raise ConfigError(f"{section}.{key} must be positive")
         if self.geometry.kind not in ("uniform", "clustered", "from-file"):
             raise ConfigError(f"unknown geometry kind {self.geometry.kind!r}")
         if self.geometry.kind == "from-file" and not self.geometry.file:
@@ -93,12 +102,6 @@ class ExperimentConfig:
             raise ConfigError("target kind from-file needs a file")
         if not 0.0 < self.target.cap < 1.0:
             raise ConfigError("target cap must lie in (0, 1)")
-        if self.sigma < 0:
-            raise ConfigError("noise level must be non-negative")
-        if self.budget < 1:
-            raise ConfigError("budget must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
         unknown = [n for n in self.optimizers if n not in OPTIMIZER_NAMES]
         if unknown or not self.optimizers:
             raise ConfigError(f"unknown optimizers {unknown}")
@@ -109,45 +112,51 @@ class ExperimentConfig:
                 _policy(self, name)
         except ValueError as exc:
             raise ConfigError(f"linesearch: {exc}") from None
-        for name in ("lam", "nu"):
-            raw = getattr(self, name)
-            if raw != "auto":
-                try:
-                    if float(raw) <= 0:
-                        raise ConfigError(f"{name} must be positive")
-                except ValueError:
-                    raise ConfigError(f"{name} must be 'auto' or a number") from None
+        for key in ("lam", "nu"):
+            raw = getattr(self, key)
+            try:
+                if raw != "auto" and not 0.0 < float(raw) < np.inf:
+                    raise ConfigError(f"regularizer.{key} must be positive and finite")
+            except ValueError:
+                raise ConfigError(f"regularizer.{key} must be 'auto' or a "
+                                  "number") from None
         return self
 
 
-_SCHEMA = {
-    "grid": {"nx": int, "ny": int, "h": float, "c0": float, "dt": float,
-             "nt": int, "boundary_width": int, "boundary_strength": float},
-    "source": {"frequency": float, "amplitude": float},
-    "geometry": {"kind": str, "n_sources": int, "n_receivers": int,
-                 "seed": int, "augment_to": int, "file": str},
-    "target": {"kind": str, "cap": float, "file": str},
-    "regularizer": {"lam": str, "nu": str},
-    "data": {"sigma": float, "seed": int},
-    "run": {"optimizers": str, "budget": int, "threads": int},
-    "linesearch": {"max_iters": int, "quad_interp_phase": int,
-                   "armijo_c1": float, "step_cap": float},
+# Every config key: {section: {key: ExperimentConfig attribute}}, in manifest
+# order; "spec.field" names a field of a nested spec. A key is parsed as the
+# type of its dataclass default, and a tuple is a comma-separated list.
+_TABLE = {
+    "grid": {"nx": "nx", "ny": "ny", "h": "h", "c0": "c0", "dt": "dt",
+             "nt": "nt", "boundary_width": "boundary_width",
+             "boundary_strength": "boundary_strength"},
+    "source": {"frequency": "frequency", "amplitude": "amplitude"},
+    "geometry": {"kind": "geometry.kind", "n_sources": "geometry.n_sources",
+                 "n_receivers": "geometry.n_receivers",
+                 "seed": "geometry.seed", "augment_to": "geometry.augment_to",
+                 "file": "geometry.file"},
+    "target": {"kind": "target.kind", "cap": "target.cap",
+               "file": "target.file"},
+    "regularizer": {"lam": "lam", "nu": "nu"},
+    "data": {"sigma": "sigma", "seed": "noise_seed"},
+    "run": {"optimizers": "optimizers", "budget": "budget",
+            "threads": "threads"},
+    "linesearch": {"max_iters": "ls_max_iters",
+                   "quad_interp_phase": "ls_quad_interp_phase",
+                   "armijo_c1": "ls_armijo_c1", "step_cap": "ls_step_cap"},
 }
 
-_FIELD_OF = {
-    ("grid", "nx"): "nx", ("grid", "ny"): "ny", ("grid", "h"): "h",
-    ("grid", "c0"): "c0", ("grid", "dt"): "dt", ("grid", "nt"): "nt",
-    ("grid", "boundary_width"): "boundary_width",
-    ("grid", "boundary_strength"): "boundary_strength",
-    ("source", "frequency"): "frequency", ("source", "amplitude"): "amplitude",
-    ("regularizer", "lam"): "lam", ("regularizer", "nu"): "nu",
-    ("data", "sigma"): "sigma", ("data", "seed"): "noise_seed",
-    ("run", "budget"): "budget", ("run", "threads"): "threads",
-    ("linesearch", "max_iters"): "ls_max_iters",
-    ("linesearch", "quad_interp_phase"): "ls_quad_interp_phase",
-    ("linesearch", "armijo_c1"): "ls_armijo_c1",
-    ("linesearch", "step_cap"): "ls_step_cap",
-}
+
+def _get(cfg, attr):
+    spec, _, name = attr.rpartition(".")
+    return getattr(getattr(cfg, spec) if spec else cfg, name)
+
+
+def _set(cfg, attr, value):
+    spec, _, name = attr.rpartition(".")
+    if spec:
+        value, name = replace(getattr(cfg, spec), **{name: value}), spec
+    return replace(cfg, **{name: value})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -160,75 +169,39 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
-    cfg = ExperimentConfig()
-    geo, tgt = {}, {}
+    cfg = defaults = ExperimentConfig()
     for section in parser.sections():
         if section in ("derived", "results"):
             continue
-        if section not in _SCHEMA:
+        if section not in _TABLE:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _TABLE[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            conv = _SCHEMA[section][key]
+            attr = _TABLE[section][key]
+            kind = type(_get(defaults, attr))
             try:
-                value = conv(raw)
+                value = (tuple(t.strip() for t in raw.split(",") if t.strip())
+                         if kind is tuple else kind(raw))
             except ValueError:
                 raise ConfigError(
                     f"{path}: bad value {raw!r} for {section}.{key}") from None
-            if section == "geometry":
-                geo[key] = value
-            elif section == "target":
-                tgt[key] = value
-            elif (section, key) == ("run", "optimizers"):
-                names = tuple(t.strip() for t in raw.split(",") if t.strip())
-                cfg = replace(cfg, optimizers=names)
-            else:
-                cfg = replace(cfg, **{_FIELD_OF[(section, key)]: value})
-    if geo:
-        cfg = replace(cfg, geometry=replace(cfg.geometry, **geo))
-    if tgt:
-        cfg = replace(cfg, target=replace(cfg.target, **tgt))
+            cfg = _set(cfg, attr, value)
     return cfg.validate()
 
 
 def config_lines(cfg: ExperimentConfig) -> list:
-    """Canonical config serialization (manifest front half)."""
-    g, t = cfg.geometry, cfg.target
-    return [
-        "[grid]",
-        f"nx = {cfg.nx}", f"ny = {cfg.ny}", f"h = {cfg.h!r}",
-        f"c0 = {cfg.c0!r}", f"dt = {cfg.dt!r}", f"nt = {cfg.nt}",
-        f"boundary_width = {cfg.boundary_width}",
-        f"boundary_strength = {cfg.boundary_strength!r}",
-        "",
-        "[source]",
-        f"frequency = {cfg.frequency!r}", f"amplitude = {cfg.amplitude!r}",
-        "",
-        "[geometry]",
-        f"kind = {g.kind}", f"n_sources = {g.n_sources}",
-        f"n_receivers = {g.n_receivers}", f"seed = {g.seed}",
-        f"augment_to = {g.augment_to}", f"file = {g.file}",
-        "",
-        "[target]",
-        f"kind = {t.kind}", f"cap = {t.cap!r}", f"file = {t.file}",
-        "",
-        "[regularizer]",
-        f"lam = {cfg.lam}", f"nu = {cfg.nu}",
-        "",
-        "[data]",
-        f"sigma = {cfg.sigma!r}", f"seed = {cfg.noise_seed}",
-        "",
-        "[run]",
-        f"optimizers = {','.join(cfg.optimizers)}",
-        f"budget = {cfg.budget}", f"threads = {cfg.threads}",
-        "",
-        "[linesearch]",
-        f"max_iters = {cfg.ls_max_iters}",
-        f"quad_interp_phase = {cfg.ls_quad_interp_phase}",
-        f"armijo_c1 = {cfg.ls_armijo_c1!r}",
-        f"step_cap = {cfg.ls_step_cap!r}",
-    ]
+    """Canonical config serialization (manifest front half): floats by
+    repr, the optimizers comma-joined, everything else plain."""
+    lines, defaults = [], ExperimentConfig()
+    for section, keys in _TABLE.items():
+        lines += ["", f"[{section}]"]
+        for key, attr in keys.items():
+            value, kind = _get(cfg, attr), type(_get(defaults, attr))
+            text = (",".join(value) if kind is tuple else
+                    repr(value) if kind is float else value)
+            lines.append(f"{key} = {text}")
+    return lines[1:]
 
 
 def _parse_layout(text, origin):

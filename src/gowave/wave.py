@@ -72,6 +72,8 @@ class SimGrid:
             raise ValueError(f"grid must be at least 8x8, got {self.nx}x{self.ny}")
         if self.h <= 0:
             raise ValueError("cell spacing h must be positive")
+        if self.c0 <= 0:
+            raise ValueError("reference speed c0 must be positive")
         if self.dt_record <= 0:
             raise ValueError("recording interval must be positive")
         if self.nt < 2:

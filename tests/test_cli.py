@@ -104,6 +104,32 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["render", str(junk), "0.05"]) == 2
 
 
+def test_bad_numbers_exit_2_before_any_solve(tiny_cfg_file, tmp_path,
+                                             monkeypatch):
+    from gowave import harness
+
+    solves = []
+    monkeypatch.setattr(harness, "forward_solve",
+                        lambda *args, **kw: solves.append(args))
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(tiny_cfg_file), "--out", str(out),
+                 "--sigma", "nan"]) == 2
+    assert main(["compare", "--config", str(tiny_cfg_file), "--out", str(out),
+                 "--seed", "-1"]) == 2
+    base = tiny_cfg_file.read_text()
+    bad = tmp_path / "bad.cfg"
+    for old, new in (("sigma = 0.05", "sigma = nan"),
+                     ("lam = auto", "lam = nan"),
+                     ("seed = 11", "seed = -1"),
+                     ("c0 = 3150.0", "c0 = 0.0"),
+                     ("c0 = 3150.0", "c0 = -3150.0")):
+        assert old in base
+        bad.write_text(base.replace(old, new))
+        assert main(["compare", "--config", str(bad), "--out", str(out)]) == 2
+    assert solves == []
+    assert not (out / "gogn_trace.csv").exists()
+
+
 def test_bad_arguments_exit_2(tiny_cfg_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["invert", "--config", str(tiny_cfg_file),

@@ -1,6 +1,8 @@
 """Config handling, geometry/target synthesis, and comparison-run contracts."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +106,90 @@ class TestConfig:
                 ExperimentConfig(ls_armijo_c1=c1).validate()
         with pytest.raises(ConfigError, match="repeated optimizers"):
             ExperimentConfig(optimizers=("gogn", "gogn")).validate()
+
+    def test_random_configs_round_trip_bytewise(self, tmp_path):
+        rng = random.Random(10)
+        path = tmp_path / "exp.cfg"
+        for _ in range(200):
+            cfg = random_config(rng)
+            text = "\n".join(config_lines(cfg)) + "\n"
+            path.write_text(text)
+            loaded = load_config(path)
+            assert loaded == cfg
+            assert "\n".join(config_lines(loaded)) + "\n" == text
+
+    def test_bad_numbers_name_their_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        section = None
+        for line in config_lines(ExperimentConfig()):
+            if line.startswith("["):
+                section = line[1:-1]
+                continue
+            if not line:
+                continue
+            key, value = line.split(" = ")
+            if value.isdigit():
+                bad = ("many", "2.5")
+            elif "." in value or value == "auto":
+                bad = ("nan", "inf", "-inf")
+            else:
+                continue
+            for raw in bad:
+                path.write_text(f"[{section}]\n{key} = {raw}\n")
+                with pytest.raises(ConfigError,
+                                   match=re.escape(f"{section}.{key}")):
+                    load_config(path)
+
+    def test_negative_seeds_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        for section in ("geometry", "data"):
+            path.write_text(f"[{section}]\nseed = -1\n")
+            with pytest.raises(ConfigError, match=f"{section}.seed"):
+                load_config(path)
+        with pytest.raises(ConfigError, match="data.seed"):
+            ExperimentConfig(noise_seed=-1).validate()
+
+    def test_readme_block_is_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        documented = [line.split("#", 1)[0].rstrip()
+                      for line in block.splitlines()]
+        assert documented == [line.rstrip()
+                              for line in config_lines(ExperimentConfig())]
+
+
+def random_config(rng):
+    """A valid config whose every key is drawn at random."""
+    def num():
+        return rng.choice([rng.random(), 10.0 ** rng.uniform(-300, 300),
+                           float(rng.randint(1, 9999)), 0.1])
+
+    def name():
+        return rng.choice(["", "layout.txt", "dir/a-b_c.modl"])
+
+    geo_kind = rng.choice(["uniform", "clustered", "from-file"])
+    tgt_kind = rng.choice(["face", "disks", "from-file"])
+    max_iters = rng.randint(1, 20)
+    return ExperimentConfig(
+        nx=rng.randint(8, 300), ny=rng.randint(8, 300), h=num(), c0=num(),
+        dt=num(), nt=rng.randint(2, 999), boundary_width=rng.randint(0, 40),
+        boundary_strength=num(), frequency=num(), amplitude=num(),
+        geometry=GeometrySpec(
+            kind=geo_kind, n_sources=rng.randint(1, 40),
+            n_receivers=rng.randint(1, 500), seed=rng.randint(0, 2**31),
+            augment_to=rng.randint(0, 50),
+            file=name() if geo_kind != "from-file" else "layout.txt"),
+        target=TargetSpec(kind=tgt_kind, cap=rng.uniform(1e-6, 0.999),
+                          file=name() if tgt_kind != "from-file" else "t.modl"),
+        lam=rng.choice(["auto", repr(num())]),
+        nu=rng.choice(["auto", repr(num())]),
+        sigma=rng.choice([0.0, num()]), noise_seed=rng.randint(0, 2**31),
+        optimizers=tuple(rng.sample(harness.OPTIMIZER_NAMES,
+                                    rng.randint(1, 4))),
+        budget=rng.randint(1, 1000), threads=rng.randint(1, 8),
+        ls_max_iters=max_iters,
+        ls_quad_interp_phase=rng.randint(0, max_iters),
+        ls_armijo_c1=rng.uniform(0.0, 0.999), ls_step_cap=num())
 
 
 class TestGeometry:

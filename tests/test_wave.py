@@ -451,6 +451,9 @@ def test_simgrid_rejects_bad_parameters():
         small_grid(nt=1)
     with pytest.raises(ValueError):
         small_grid(boundary_width=-2)
+    for c0 in (0.0, -3000.0):
+        with pytest.raises(ValueError, match="c0"):
+            small_grid(c0=c0)
 
 
 def test_modelgrid_rejects_bad_values():
