@@ -30,6 +30,10 @@ from .wave import (ModelGrid, SimGrid, SourceSpec, cfl_substeps,
 
 OPTIMIZER_NAMES = ("gogn", "nlcg", "lbfgs", "gncg")
 
+# Largest kept forward field a config may imply at the start model m = 0:
+# gncg holds one per source and every other method one at a time.
+KEPT_FIELD_LIMIT_BYTES = 10**9
+
 
 class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
@@ -88,6 +92,19 @@ class ExperimentConfig:
                     raise ConfigError(f"{section}.{key} must be non-negative")
                 if key in ("budget", "threads") and value < 1:
                     raise ConfigError(f"{section}.{key} must be positive")
+        if self.amplitude == 0.0:
+            raise ConfigError("source.amplitude must be non-zero: a silent source "
+                              "gives all-zero data")
+        grid = self.sim_grid()
+        try:
+            kept = grid.kept_field_bytes()
+        except OverflowError:  # the substep count itself is not finite
+            kept = float("inf")
+        if kept > KEPT_FIELD_LIMIT_BYTES:
+            raise ConfigError(
+                f"one kept forward field would hold {kept / 1e9:.3g} GB, past the "
+                f"{KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit: reduce the grid, "
+                "nt or the substeps (dt * c0 / h)")
         if self.geometry.kind not in ("uniform", "clustered", "from-file"):
             raise ConfigError(f"unknown geometry kind {self.geometry.kind!r}")
         if self.geometry.kind == "from-file" and not self.geometry.file:
@@ -121,6 +138,13 @@ class ExperimentConfig:
                 raise ConfigError(f"regularizer.{key} must be 'auto' or a "
                                   "number") from None
         return self
+
+    def sim_grid(self) -> SimGrid:
+        try:
+            return SimGrid(self.nx, self.ny, self.h, self.c0, self.dt, self.nt,
+                           self.boundary_width, self.boundary_strength)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # Every config key: {section: {key: ExperimentConfig attribute}}, in manifest
@@ -375,9 +399,8 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
     budget; its cost is reported in the manifest.
     """
     cfg.validate()
+    grid = cfg.sim_grid()
     try:
-        grid = SimGrid(cfg.nx, cfg.ny, cfg.h, cfg.c0, cfg.dt, cfg.nt,
-                       cfg.boundary_width, cfg.boundary_strength)
         geom = gen_geometry(cfg.geometry, cfg.geometry.seed, grid.extent,
                             cfg.frequency, cfg.amplitude)
         target = gen_target(cfg.target, cfg.nx, cfg.ny)

@@ -15,7 +15,10 @@ machine precision.
 
 All three sweeps run one leapfrog loop, ``_Workspace.march``; the adjoint
 marches the scaled field psi = a v lambda backward in time, because in psi
-the transpose of the time step is the forward step itself.
+the transpose of the time step is the forward step itself. The loop works
+in units of sigma = 12 h^2 lap(u), where the stencil's weights are the
+integers -60, 16 and -1; the weights, 1/h^2 and the sponge are folded into
+three coefficient bands built once per solve.
 """
 
 from __future__ import annotations
@@ -80,6 +83,16 @@ class SimGrid:
             raise ValueError("need at least 2 recorded samples")
         if self.boundary_width < 0:
             raise ValueError("boundary width must be non-negative")
+        if not self.boundary_strength >= 0:
+            raise ValueError("boundary strength must be non-negative: a negative "
+                             "sponge amplifies instead of damping")
+
+    def kept_field_bytes(self) -> int:
+        """Bytes of one kept forward field (``Wavefield.scatter``) at the
+        start model m = 0."""
+        nxp = self.nx + 2 * self.boundary_width
+        nyp = self.ny + 2 * self.boundary_width
+        return _substeps(self, self.c0) * (self.nt - 1) * nxp * (nyp + 2 * _HALO) * 8
 
     @property
     def extent(self) -> tuple[float, float]:
@@ -161,12 +174,13 @@ class SourceSpec:
 class Wavefield:
     """The forward sweep's scattering source, kept for the adjoint and Born.
 
-    ``scatter[n]`` is ``lap(u^n) - f^n`` on the padded grid (interior +
-    sponge): the Laplacian of the field at internal time n * dt, with the
-    point source already subtracted, exactly as the forward step formed it
-    (dt = dt_record / substeps). A model perturbation dv scatters the wave
-    through ``dv * scatter[n]``, so the adjoint correlates against it and
-    the Born sweep is driven by it without touching the forward field again.
+    ``scatter[n]`` is ``sigma^n = 12 h^2 (lap(u^n) - f^n)`` on the padded
+    grid (interior + sponge): the Laplacian of the field at internal time
+    n * dt, with the point source already subtracted, in the march's units,
+    exactly as the forward step formed it (dt = dt_record / substeps). A
+    model perturbation dv scatters the wave through ``dv * scatter[n] /
+    (12 h^2)``, so the adjoint correlates against it and the Born sweep is
+    driven by it without touching the forward field again.
 
     Each ``scatter[n]`` is stored in the march's band layout: the padded
     rows at full width, with _HALO columns on either side. The halo columns
@@ -203,44 +217,43 @@ def cfl_substeps(model: ModelGrid, grid: SimGrid) -> int:
 
     Returns the smallest k with c_max * (dt_record / k) / h <= CFL_SAFETY.
     """
-    c_max = grid.c0 * (1.0 + float(np.max(model.values)))
-    ratio = c_max * grid.dt_record / (grid.h * CFL_SAFETY)
-    return max(1, math.ceil(ratio))
+    return _substeps(grid, grid.c0 * (1.0 + float(np.max(model.values))))
+
+
+def _substeps(grid: SimGrid, c_max: float) -> int:
+    return max(1, math.ceil(c_max * grid.dt_record / (grid.h * CFL_SAFETY)))
 
 
 # ---------------------------------------------------------------------------
 # internal machinery shared by forward / adjoint / Born sweeps
 
 
-def _laplacian_band(u: np.ndarray, width: int, h2: float, out: np.ndarray,
-                    tmp: np.ndarray) -> np.ndarray:
-    """4th-order Laplacian with a zero-Dirichlet exterior (symmetric operator).
+def _stencil(ops, out: np.ndarray) -> np.ndarray:
+    """P = 16 (N + S + W + E) - (NN + SS + WW + EE): the off-centre part of
+    the 4th-order stencil in sigma units, so that 12 h^2 lap(u) = P - 60 u.
 
-    ``u`` is a flat field of ``width``-long rows inside a zero halo of
-    _HALO rows and columns. ``out`` (and the scratch ``tmp``) hold the
-    rows inside the halo at full width, so each of the stencil's operands
-    is one contiguous slice of ``u``. In the halo columns the column shifts
-    wrap into the next row and ``out`` is meaningless; everywhere else it is
-    the 2-D stencil's value, bit for bit.
+    ``ops`` are a field's operand views (``_Workspace.operands``): its band,
+    then the band shifted one row up and down and one column left and
+    right, then two. In the halo columns the column shifts wrap into the
+    next row and ``out`` is meaningless; elsewhere the zero halo gives the
+    stencil a zero-Dirichlet exterior.
     """
-    n = out.size
-    s = _HALO * width
+    _, n, s, w, e, nn, ss, ww, ee = ops
+    np.add(n, s, out=out)
+    out += w
+    out += e
+    out *= 16.0
+    out -= nn
+    out -= ss
+    out -= ww
+    out -= ee
+    return out
 
-    def at(offset):
-        return u[s + offset:s + offset + n]
 
-    np.multiply(at(0), -5.0, out=out)
-    np.add(at(-width), at(width), out=tmp)
-    tmp += at(-1)
-    tmp += at(1)
-    tmp *= 4.0 / 3.0
-    out += tmp
-    np.add(at(-2 * width), at(2 * width), out=tmp)
-    tmp += at(-2)
-    tmp += at(2)
-    tmp *= -1.0 / 12.0
-    out += tmp
-    out /= h2
+def _sigma(ops, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigma = P - 60 u, with P from ``_stencil`` (and any source in it)."""
+    np.multiply(ops[0], -60.0, out=out)
+    out += p
     return out
 
 
@@ -322,19 +335,33 @@ class _Workspace:
         self.size = (self.shape[0] + 2 * _HALO) * self.width
         self._band = slice(_HALO * self.width, (_HALO + self.shape[0]) * self.width)
 
-        # squared speed on the padded grid, and the step's coefficient bands
+        # Squared speed on the padded grid, and the step's coefficient bands.
+        # The sponge step u^{n+1} = a (2 u^n - b u^{n-1} + dt^2 v lap(u^n)),
+        # a = 1 / (1 + gamma dt), b = 1 - gamma dt, with 12 h^2 lap(u) =
+        # P - 60 u, is u^{n+1} = E u^n - AB u^{n-1} + C P.
         c_int = grid.c0 * (1.0 + model.as_2d())
         self.v = _pad_edge(c_int * c_int, self.bw)
-        self.dt2v = self.coef(self.dt**2 * self.v)
-        gamma = _damping_profile(grid)
-        self.a = self.coef(1.0 / (1.0 + gamma * self.dt))
-        self.b = self.coef(1.0 - gamma * self.dt)
+        gamma_dt = _damping_profile(grid) * self.dt
+        a = 1.0 / (1.0 + gamma_dt)
+        self.c_per_v = a * self.dt**2 / (12.0 * grid.h**2)
+        self.C = self.coef(self.c_per_v * self.v)
+        self.AB = self.coef(a * (1.0 - gamma_dt))
+        self.E = self.coef(2.0 * a - 60.0 * self.inside(self.C))
 
     def field(self) -> np.ndarray:
         return np.zeros(self.size)
 
     def band(self, f: np.ndarray) -> np.ndarray:
         return f[self._band]
+
+    def operands(self, f: np.ndarray) -> tuple:
+        """The views of flat field ``f`` that one step reads: its band, then
+        the band shifted by one row up and down and one column left and
+        right (N, S, W, E), then by two (NN, SS, WW, EE). Each is one
+        contiguous slice of ``f``."""
+        lo, n, w = self._band.start, self._band.stop - self._band.start, self.width
+        return tuple(f[lo + o:lo + o + n]
+                     for o in (0, -w, w, -1, 1, -2 * w, 2 * w, -2, 2))
 
     def inside(self, band: np.ndarray) -> np.ndarray:
         """The (nxp, nyp) view of a band inside its halo columns."""
@@ -392,43 +419,45 @@ class _Workspace:
                 f"(substeps={self.k}, dt={self.dt:.4g}s): time stepping is unstable"
             )
 
-    def march(self, excite, what: str, rhs_rows=None):
+    def march(self, excite, what: str, kept=None):
         """Leapfrog from rest; return the (n_r, nt) traces sampled at
         ``receiver_cells`` and the final flat field.
 
-        Step n forms u^{n+1} = a (2 u^n - b u^{n-1} + dt^2 v rhs). Before it,
-        ``excite(n, rhs, u)`` sees ``rhs = lap(u^n)`` as a band, which it may
-        edit in place, and the flat field ``u = u^n``, which it must not; a
-        non-None return value, a band, is added to the step before the
-        sponge factor is applied. Given ``rhs_rows``, an (n_steps, band
-        size) array, step n forms its right-hand side in ``rhs_rows[n]``.
+        Step n forms u^{n+1} = E u^n - AB u^{n-1} + C P from the stencil's
+        P = 16 (N + S + W + E) - (NN + SS + WW + EE) of u^n, in the units of
+        sigma = P - 60 u^n = 12 h^2 lap(u^n). Before the update,
+        ``excite(n, p, u)`` sees P as a band, which it may edit in place,
+        and the flat field ``u = u^n``, which it must not; a non-None return
+        value, a band, is added to u^{n+1} as it stands. Given ``kept``, an
+        (n_steps, band size) array, step n writes sigma, formed from the
+        edited P, into ``kept[n]``; the update does not read it.
         """
-        k, h2 = self.k, self.grid.h**2
+        k = self.k
         cells = _HALO * self.width + self.band_offsets(self.receiver_cells)
         traces = np.zeros((len(cells), self.grid.nt))
-        dt2v, a, b = self.dt2v, self.a, self.b
+        C, AB, E = self.C, self.AB, self.E
         u_prev, u = self.field(), self.field()
-        rhs, tmp = np.empty(dt2v.size), np.empty(dt2v.size)
+        ops_prev, ops = self.operands(u_prev), self.operands(u)
+        p, tmp = np.empty(C.size), np.empty(C.size)
 
         for n in range(self.n_steps):
-            if rhs_rows is not None:
-                rhs = rhs_rows[n]
-            _laplacian_band(u, self.width, h2, rhs, tmp)
-            extra = excite(n, rhs, u)
+            _stencil(ops, p)
+            extra = excite(n, p, u)
+            if kept is not None:
+                _sigma(ops, p, kept[n])
             # u^{n+1} in u^{n-1}'s buffer
-            nxt = self.band(u_prev)
-            np.multiply(b, nxt, out=tmp)
-            np.multiply(self.band(u), 2.0, out=nxt)
-            nxt -= tmp
-            np.multiply(dt2v, rhs, out=tmp)
-            nxt += tmp
+            nxt = ops_prev[0]
+            nxt *= AB
+            np.multiply(E, ops[0], out=tmp)
+            np.subtract(tmp, nxt, out=nxt)
+            p *= C
+            nxt += p
             if extra is not None:
                 nxt += extra
-            nxt *= a
             self.rezero_halo(u_prev)
-            u_prev, u = u, u_prev
+            u_prev, u, ops_prev, ops = u, u_prev, ops, ops_prev
             if (n + 1) % k == 0:
-                self.guard(self.band(u), n + 1, what)
+                self.guard(ops[0], n + 1, what)
                 traces[:, (n + 1) // k] = u[cells]
         return traces, u
 
@@ -442,12 +471,13 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     """
     ws = _Workspace(model, grid, receivers)
     cell = ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0]
-    f = (source.amplitude * ricker(ws.dt * np.arange(ws.n_steps), source.frequency,
-                                   source.t0) / grid.h**2)
+    # 12 h^2 f: the point source f = amplitude ricker / h^2 in sigma units
+    f = 12.0 * source.amplitude * ricker(ws.dt * np.arange(ws.n_steps),
+                                         source.frequency, source.t0)
     scatter = _kept_rows((ws.n_steps, ws.shape[0], ws.width)) if keep_field else None
 
-    def excite(n, rhs, u):
-        rhs[cell] -= f[n]
+    def excite(n, p, u):
+        p[cell] -= f[n]
 
     traces, _ = ws.march(excite, "field",
                          None if scatter is None else scatter.reshape(ws.n_steps, -1))
@@ -472,8 +502,10 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     In psi^n = a v lambda^n the transpose scheme lambda^n = 2 a lambda^{n+1}
     + dt^2 lap(a v lambda^{n+1}) - a b lambda^{n+2} is the forward step
     psi^n = a (2 psi^{n+1} - b psi^{n+2} + dt^2 v lap(psi^{n+1})): march
-    step j yields psi^{N-j}, the receivers inject q / dt^2 into its
-    right-hand side, and the gradient on v is dt^2 sum_n psi^n scatter[n-1] / v.
+    step j yields psi^{N-j}, and the receivers inject q / dt^2 into its
+    Laplacian, that is 12 h^2 q / dt^2 into its P. The kept rows hold
+    sigma^n = 12 h^2 (lap(u^n) - f^n), so the gradient on v is
+    dt^2 sum_n psi^n sigma^{n-1} / (12 h^2 v), divided once, at the end.
     """
     q = np.asarray(weighted_residual_traces, dtype=np.float64)
     n_rec = len(forward_field.receiver_cells)
@@ -486,24 +518,25 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
 
     n_steps, k = ws.n_steps, ws.k
     receivers = ws.band_offsets(forward_field.receiver_cells)
-    injected = q / ws.dt**2
-    gv = ws.coef(0.0)  # sum_n psi^n scatter[n-1], as a band
+    injected = 12.0 * grid.h**2 * q / ws.dt**2
+    gv = ws.coef(0.0)  # sum_n psi^n sigma[n-1], as a band
     corr = np.empty(gv.size)
 
     def image(psi, n):
         np.multiply(ws.band(psi), scatter[n - 1], out=corr)
         np.add(gv, corr, out=gv)
 
-    def excite(j, rhs, u):
+    def excite(j, p, u):
         if j:
             image(u, n_steps + 1 - j)
         if j % k == 0:
             # duplicate receivers add up
-            np.add.at(rhs, receivers, injected[:, (n_steps - j) // k])
+            np.add.at(p, receivers, injected[:, (n_steps - j) // k])
 
     _, last = ws.march(excite, "time-reversed adjoint field")
     image(last, 1)
-    grad = ws.model_chain(model) * _fold_edge(ws.dt**2 * ws.inside(gv) / ws.v, ws.bw)
+    scale = ws.dt**2 / (12.0 * grid.h**2)
+    grad = ws.model_chain(model) * _fold_edge(scale * ws.inside(gv) / ws.v, ws.bw)
     ledger.count_adjoint()
     return grad.ravel()
 
@@ -525,10 +558,11 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     scatter = ws.check_field(forward_field)
 
     dv = _pad_edge(ws.model_chain(model) * direction.reshape(model.nx, model.ny), ws.bw)
-    kick = ws.coef(ws.dt**2 * dv)
+    # E u^n + C P differentiated along dv, with C = c_per_v v: c_per_v dv sigma^n
+    kick = ws.coef(ws.c_per_v * dv)
     extra = np.empty(kick.size)
 
-    def excite(n, rhs, u):
+    def excite(n, p, u):
         np.multiply(kick, scatter[n], out=extra)
         return extra
 

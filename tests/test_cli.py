@@ -130,6 +130,28 @@ def test_bad_numbers_exit_2_before_any_solve(tiny_cfg_file, tmp_path,
     assert not (out / "gogn_trace.csv").exists()
 
 
+def test_inadmissible_physics_exits_2_before_any_solve(tiny_cfg_file, tmp_path,
+                                                      monkeypatch):
+    from gowave import harness
+
+    solves = []
+    monkeypatch.setattr(harness, "forward_solve",
+                        lambda *args, **kw: solves.append(args))
+    out = tmp_path / "o"
+    base = tiny_cfg_file.read_text()
+    bad = tmp_path / "bad.cfg"
+    # dt = 100000 would keep 4.4 GB per field; it is only validated
+    for old, new in (("amplitude = 1.0", "amplitude = 0.0"),
+                     ("boundary_strength = 0.25", "boundary_strength = -5.0"),
+                     ("dt = 1.0", "dt = 100000.0")):
+        assert old in base
+        bad.write_text(base.replace(old, new))
+        for cmd in ("compare", "make-data"):
+            assert main([cmd, "--config", str(bad), "--out", str(out)]) == 2
+    assert solves == []
+    assert not (out / "gogn_trace.csv").exists()
+
+
 def test_bad_arguments_exit_2(tiny_cfg_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["invert", "--config", str(tiny_cfg_file),

@@ -149,6 +149,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match="data.seed"):
             ExperimentConfig(noise_seed=-1).validate()
 
+    def test_silent_source_and_amplifying_sponge_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        for text, shown in (("[source]\namplitude = 0.0\n", "source.amplitude"),
+                            ("[source]\namplitude = -0.0\n", "source.amplitude"),
+                            ("[grid]\nboundary_strength = -5.0\n", "boundary strength")):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=shown):
+                load_config(path)
+        # a flipped polarity and a sponge-free boundary remain valid
+        ExperimentConfig(amplitude=-1.0, boundary_strength=0.0).validate()
+
+    def test_kept_field_size_is_bounded(self):
+        # desk's kept field: 149 steps of 104 x 108 band rows, 13.4 MB
+        desk = ExperimentConfig()
+        assert desk.sim_grid().kept_field_bytes() == 149 * 104 * 108 * 8
+        # dt = 1000 needs 788 substeps per sample: 10.55 GB per field. Only
+        # validated, never run.
+        huge = ExperimentConfig(dt=1000.0)
+        nbytes = huge.sim_grid().kept_field_bytes()
+        assert nbytes == 788 * 149 * 104 * 108 * 8
+        assert nbytes > harness.KEPT_FIELD_LIMIT_BYTES
+        with pytest.raises(ConfigError, match=r"would hold 10\.6 GB, past the 1 GB"):
+            huge.validate()
+        with pytest.raises(ConfigError, match="would hold inf GB"):
+            ExperimentConfig(dt=1e308).validate()
+        with pytest.raises(ConfigError, match="kept forward field"):
+            ExperimentConfig(nx=100_000, ny=100_000).validate()
+
     def test_readme_block_is_the_default_config(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -159,7 +187,18 @@ class TestConfig:
 
 
 def random_config(rng):
-    """A valid config whose every key is drawn at random."""
+    """A valid config whose every key is drawn at random. A draw whose kept
+    forward field would pass the size bound is made again."""
+    while True:
+        cfg = _random_draw(rng)
+        try:
+            return cfg.validate()
+        except ConfigError as exc:
+            if "kept forward field" not in str(exc):
+                raise
+
+
+def _random_draw(rng):
     def num():
         return rng.choice([rng.random(), 10.0 ** rng.uniform(-300, 300),
                            float(rng.randint(1, 9999)), 0.1])

@@ -193,7 +193,7 @@ def test_guard_raises_on_non_finite_or_huge_entries(bad, shown):
     grid = small_grid()
     ws = wave._Workspace(ModelGrid.zeros(grid.nx, grid.ny), grid)
     # a sum of squares past the quick bound falls back to the exact test
-    ws.guard(np.full(ws.dt2v.size, 1e99), 3, "field")
+    ws.guard(np.full(ws.band(ws.field()).size, 1e99), 3, "field")
     field = ws.field()
     inside = ws.inside(ws.band(field))
     inside[5, 7] = -1e100  # the largest magnitude that still passes
@@ -221,17 +221,35 @@ def laplacian_2d(u, h2):
     return out
 
 
+def stencil_2d(u):
+    """Reference: the march's P = 16 (N + S + W + E) - (NN + SS + WW + EE) and
+    sigma = P - 60 u, on plain 2-D arrays with a zero-Dirichlet exterior."""
+    buf = np.zeros((u.shape[0] + 4, u.shape[1] + 4))
+    buf[2:-2, 2:-2] = u
+    p = 16.0 * (buf[1:-3, 2:-2] + buf[3:-1, 2:-2] + buf[2:-2, 1:-3] + buf[2:-2, 3:-1])
+    p = p - buf[:-4, 2:-2] - buf[4:, 2:-2] - buf[2:-2, :-4] - buf[2:-2, 4:]
+    return p, p + -60.0 * u
+
+
 @pytest.mark.parametrize("shape", [(13, 21), (30, 17)])
-def test_band_laplacian_equals_2d_stencil_bitwise(shape):
+def test_band_stencil_and_sigma_equal_2d_formula_bitwise(shape):
     rng = np.random.default_rng(shape[0])
     u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
-    h2 = 2400.0**2
-    width = shape[1] + 4
-    field = np.zeros((shape[0] + 4, width))
-    field[2:-2, 2:-2] = u
-    out = np.empty(shape[0] * width)
-    wave._laplacian_band(field.ravel(), width, h2, out, np.empty_like(out))
-    assert np.array_equal(out.reshape(shape[0], width)[:, 2:-2], laplacian_2d(u, h2))
+    grid = SimGrid(nx=shape[0], ny=shape[1], h=2400.0, c0=3000.0, dt_record=1.0,
+                   nt=4, boundary_width=0)
+    ws = wave._Workspace(ModelGrid.zeros(*shape), grid)
+    field = ws.field()
+    ws.inside(ws.band(field))[...] = u
+    ops = ws.operands(field)
+    p = wave._stencil(ops, np.empty(ops[0].size))
+    sigma = wave._sigma(ops, p, np.empty(p.size))
+    p_ref, sigma_ref = stencil_2d(u)
+    assert np.array_equal(ws.inside(p), p_ref)
+    assert np.array_equal(ws.inside(sigma), sigma_ref)
+    # sigma is 12 h^2 lap(u) up to rounding
+    lap = laplacian_2d(u, grid.h**2)
+    assert np.abs(ws.inside(sigma) / (12.0 * grid.h**2) - lap).max() <= \
+        1e-13 * np.abs(u).max() / grid.h**2
 
 
 def test_sweeps_leave_every_halo_entry_positive_zero(monkeypatch):
@@ -272,17 +290,80 @@ def setup_problem(seed=7, **gridkw):
     return rng, grid, m, src, recv
 
 
-def adjoint_reference(model, q, fld, grid):
-    """Reference: the transpose scheme stepped on lambda itself, on plain
-    2-D arrays, in the operation order of the original adjoint loop."""
-    bw = grid.boundary_width
+def reference_coefficients(model, grid):
+    """(k, dt, v, a, b) of the unfolded step, on the padded 2-D grid."""
     k = cfl_substeps(model, grid)
     dt = grid.dt_record / k
     c = grid.c0 * (1.0 + model.as_2d())
-    v = wave._pad_edge(c * c, bw)
     gamma = wave._damping_profile(grid)
-    a = 1.0 / (1.0 + gamma * dt)
-    b = 1.0 - gamma * dt
+    return (k, dt, wave._pad_edge(c * c, grid.boundary_width),
+            1.0 / (1.0 + gamma * dt), 1.0 - gamma * dt)
+
+
+def forward_reference(model, src, recv, grid):
+    """Reference: the unfolded forward step u^{n+1} = a (2 u^n - b u^{n-1}
+    + dt^2 v (lap(u^n) - f^n)) on plain 2-D arrays. Returns the traces and
+    each step's lap(u^n) - f^n."""
+    k, dt, v, a, b = reference_coefficients(model, grid)
+    bw = grid.boundary_width
+    sx, sy = grid.snap_all([src.position])[0] + bw
+    rx, ry = (grid.snap_all(recv) + bw).T
+    f = src.amplitude * ricker(dt * np.arange(k * (grid.nt - 1)), src.frequency,
+                               src.t0) / grid.h**2
+    u_prev, u = np.zeros(v.shape), np.zeros(v.shape)
+    traces, scatter = np.zeros((len(rx), grid.nt)), []
+    for n in range(k * (grid.nt - 1)):
+        rhs = laplacian_2d(u, grid.h**2)
+        rhs[sx, sy] -= f[n]
+        scatter.append(rhs)
+        u_prev, u = u, a * (2.0 * u - b * u_prev + dt**2 * v * rhs)
+        if (n + 1) % k == 0:
+            traces[:, (n + 1) // k] = u[rx, ry]
+    return traces, np.array(scatter)
+
+
+def born_reference(model, direction, scatter, recv, grid):
+    """Reference: the unfolded Born step, driven by dt^2 dv scatter[n], where
+    scatter[n] = lap(u^n) - f^n comes from forward_reference."""
+    k, dt, v, a, b = reference_coefficients(model, grid)
+    bw = grid.boundary_width
+    rx, ry = (grid.snap_all(recv) + bw).T
+    dv = wave._pad_edge(2.0 * grid.c0**2 * (1.0 + model.as_2d())
+                        * direction.reshape(model.nx, model.ny), bw)
+    du_prev, du = np.zeros(v.shape), np.zeros(v.shape)
+    traces = np.zeros((len(rx), grid.nt))
+    for n in range(k * (grid.nt - 1)):
+        rhs = laplacian_2d(du, grid.h**2)
+        du_prev, du = du, a * (2.0 * du - b * du_prev + dt**2 * v * rhs
+                               + dt**2 * dv * scatter[n])
+        if (n + 1) % k == 0:
+            traces[:, (n + 1) // k] = du[rx, ry]
+    return traces
+
+
+@pytest.mark.parametrize("gridkw", [{}, {"boundary_width": 0}])
+def test_forward_and_born_match_unfolded_reference_steps(gridkw):
+    rng, grid, m, src, recv = setup_problem(seed=19, **gridkw)
+    led = SolveLedger()
+    traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+    ref, scatter = forward_reference(m, src, recv, grid)
+    assert np.linalg.norm(traces - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the kept rows hold sigma = 12 h^2 (lap(u^n) - f^n)
+    kept = fld.scatter[:, :, wave._HALO:-wave._HALO] / (12.0 * grid.h**2)
+    assert np.linalg.norm(kept - scatter) <= 1e-13 * np.linalg.norm(scatter)
+    direction = rng.standard_normal(m.p)
+    born = born_solve(m, direction, src, recv, grid, fld, led)
+    born_ref = born_reference(m, direction, scatter, recv, grid)
+    assert np.linalg.norm(born - born_ref) <= 1e-13 * np.linalg.norm(born_ref)
+
+
+def adjoint_reference(model, q, fld, grid):
+    """Reference: the transpose scheme stepped on lambda itself, on plain
+    2-D arrays, in the operation order of the original adjoint loop. The
+    kept rows hold sigma = 12 h^2 (lap(u^n) - f^n), so it reads
+    sigma / (12 h^2)."""
+    bw = grid.boundary_width
+    k, dt, v, a, b = reference_coefficients(model, grid)
     rx, ry = fld.receiver_cells.T
     lam_next, lam_next2, gv = np.zeros(v.shape), np.zeros(v.shape), np.zeros(v.shape)
     for n in range(k * (grid.nt - 1), 0, -1):
@@ -291,7 +372,8 @@ def adjoint_reference(model, q, fld, grid):
                - a * b * lam_next2)
         if n % k == 0:
             np.add.at(lam, (rx, ry), q[:, n // k])
-        gv += dt**2 * a * lam * fld.scatter[n - 1][:, wave._HALO:-wave._HALO]
+        scatter = fld.scatter[n - 1][:, wave._HALO:-wave._HALO] / (12.0 * grid.h**2)
+        gv += dt**2 * a * lam * scatter
         lam_next2, lam_next = lam_next, lam
     return (2.0 * grid.c0**2 * (1.0 + model.as_2d()) * wave._fold_edge(gv, bw)).ravel()
 
@@ -451,6 +533,9 @@ def test_simgrid_rejects_bad_parameters():
         small_grid(nt=1)
     with pytest.raises(ValueError):
         small_grid(boundary_width=-2)
+    with pytest.raises(ValueError, match="boundary strength"):
+        small_grid(boundary_strength=-5.0)
+    small_grid(boundary_strength=0.0)
     for c0 in (0.0, -3000.0):
         with pytest.raises(ValueError, match="c0"):
             small_grid(c0=c0)
