@@ -8,9 +8,9 @@ additional PDE solves. The step solves
 
     (J^T J + D^T D) p = -(J^T rho + D^T D (m - m0))
 
-via the Woodbury identity: only an N x N dense system and N smoothing solves
-are needed, never a p x p factorization beyond the one the regularizer
-already holds.
+via the Woodbury identity: only N smoothing solves, which the regularizer
+does in D's cosine eigenbasis, and one N x N Cholesky solve are needed.
+Nothing of size p is factorized, and scipy is not imported.
 """
 
 from __future__ import annotations
@@ -71,10 +71,11 @@ def _gradient(J: GoJacobian, delta: np.ndarray, reg: SmoothingOperator) -> np.nd
 def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
     """Solve the Gauss-Newton system through the low-rank update formula.
 
-    p = A J^T S (J delta - rho) - delta with A = (D^T D)^{-1} applied via
-    the precomputed factorization and S = (I + J A J^T)^{-1} solved densely
-    (N x N Cholesky). With no active rows the step degenerates to the pure
-    regularization pull p = -delta, flagged as a fallback. No PDE solves.
+    p = A J^T S (J delta - rho) - delta with A = (D^T D)^{-1} applied by
+    the regularizer's spectral solve and S = (I + J A J^T)^{-1} solved
+    densely (N x N Cholesky). With no active rows the step degenerates to
+    the pure regularization pull p = -delta, flagged as a fallback. No PDE
+    solves.
     """
     values = m_k.values if hasattr(m_k, "values") else np.asarray(m_k, dtype=np.float64)
     delta = values.ravel() - reg.m0
@@ -92,15 +93,14 @@ def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
 
     ajt = np.column_stack([reg.solve_normal(rows[i]) for i in range(n_a)])
     small = np.eye(n_a) + rows @ ajt  # I + J A J^T, SPD by construction
-    import scipy.linalg
     try:
-        chol = scipy.linalg.cho_factor(small)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(small)  # small = chol chol^T
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"low-rank system not SPD (cond ~ {np.linalg.cond(small):.3e}); "
             "this indicates a broken smoothing operator"
         ) from exc
-    y = scipy.linalg.cho_solve(chol, rows @ delta - rho)
+    y = np.linalg.solve(chol.T, np.linalg.solve(chol, rows @ delta - rho))
     p = ajt @ y - delta
 
     grad = _gradient(J, delta, reg)

@@ -30,7 +30,6 @@ from functools import partial
 import numpy as np
 
 from .gogn import assemble, step_woodbury
-from .regularizer import splu
 from .wave import ModelGrid
 
 # Fixed optimizer settings; no config key reaches them.
@@ -142,6 +141,12 @@ def linesearch(objective, m, p, f0: float, g0: float, policy: LinesearchPolicy):
         else:
             alpha *= 0.5
     return 0.0, None, f0, evals
+
+
+def splu(matrix):
+    """scipy's sparse LU, imported on the first factorization."""
+    from scipy.sparse.linalg import splu as factorize
+    return factorize(matrix)
 
 
 class CurvatureModel:

@@ -7,11 +7,12 @@ curvature floor that the step-quality bounds of the gradient-only Gauss-Newton
 method are built on.
 
 D is held as its five diagonals and applied with numpy, bit for bit as
-scipy's CSR product on finite vectors. The CSR matrix is derived only to
-factorize D, on the first normal solve, which is also where scipy is first
-imported. Because D is symmetric, solving D^T D x = b costs two
-triangular-solve passes with the same factorization, which is also better
-conditioned than factoring D^T D itself.
+scipy's CSR product on finite vectors. On a uniform grid with Neumann closure
+the orthonormal DCT-II basis diagonalizes D exactly (Strang 1999, "The
+discrete cosine transform", SIAM Review 41(1)), so D^T D x = b is solved by
+four small matrix products in that basis: nothing is factorized and scipy is
+not imported. The CSR matrix ``D`` is still derived on request, for the
+curvature model of the baseline optimizers and for the tests.
 """
 
 from __future__ import annotations
@@ -19,21 +20,46 @@ from __future__ import annotations
 import numpy as np
 
 
-def splu(matrix):
-    """scipy's sparse LU, imported on the first factorization."""
-    from scipy.sparse.linalg import splu as factorize
-    return factorize(matrix)
+def _dct_basis(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix, Q[j, k] = c_k cos(pi k (2j + 1) / 2n): its
+    columns are the eigenvectors of the 1D Neumann second difference."""
+    j = np.arange(n)
+    q = np.cos(np.pi * np.outer(2 * j + 1, j) / (2 * n)) * np.sqrt(2.0 / n)
+    q[:, 0] = np.sqrt(1.0 / n)
+    return q
+
+
+def _eigenbasis(lam: float, nu: float, h: float, nx: int, ny: int) -> tuple:
+    """(Qx, Qy, 1 / d^2): D = (Qx kron Qy) diag(d) (Qx kron Qy)^T with
+    d_kl = lam (nu + 4 sin^2(pi k / 2nx) / h^2 + 4 sin^2(pi l / 2ny) / h^2)."""
+    sx, sy = (4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 / h**2
+              for n in (nx, ny))
+    d = lam * (nu + np.add.outer(sx, sy))
+    return _dct_basis(nx), _dct_basis(ny), 1.0 / (d * d)
+
+
+def _spectral_solve(basis: tuple, b: np.ndarray) -> np.ndarray:
+    """x = Qx [(Qx^T B Qy) / d^2] Qy^T, with B the flat b on the grid."""
+    qx, qy, inv_d2 = basis
+    coeffs = qx.T @ b.reshape(inv_d2.shape) @ qy * inv_d2
+    # The constant mode has the smallest eigenvalue and dominates x. Added
+    # after the products it is rounded once per cell, not once per term,
+    # which keeps the round trip through D^T D at the rounding floor of x.
+    mean = coeffs[0, 0] / np.sqrt(b.size)
+    coeffs[0, 0] = 0.0
+    return (qx @ coeffs @ qy.T + mean).ravel()
 
 
 class SmoothingOperator:
     """Quadratic smoothing penalty around a reference model.
 
     Row i of ``diagonals`` holds D[i, i + k] for k = -ny, -1, 0, 1, ny, and
-    zero where cell i has no such neighbour. The CSR matrix ``D`` and its
-    sparse LU, checked by one round trip through D^T D, are built on first
-    use; ``harness.run_one`` builds a fresh operator for each run, so one run
-    owns it and its scratch array, also when runs execute on several
-    threads. Use ``build`` to construct one.
+    zero where cell i has no such neighbour. The CSR matrix ``D`` and the
+    eigenbasis of D, built from (lam, nu, h, nx, ny) and checked by one round
+    trip through ``hess_vec``, are made on first use; ``harness.run_one``
+    builds a fresh operator for each run, so one run owns it and its scratch
+    array, also when runs execute on several threads. Use ``build`` to
+    construct one.
     """
 
     def __init__(self, diagonals: np.ndarray, lam: float, nu: float, h: float,
@@ -54,7 +80,7 @@ class SmoothingOperator:
             self._terms.append((d[rows], rows, slice(rows.start + k, rows.stop + k),
                                 self._scratch[rows]))
         self._D = None
-        self._factor = None
+        self._basis = None  # (Qx, Qy, 1 / d^2) of the spectral normal solve
 
     @property
     def D(self):
@@ -102,22 +128,22 @@ class SmoothingOperator:
         return self._apply(self._apply(v))
 
     def solve_normal(self, b: np.ndarray) -> np.ndarray:
-        """Solve D^T D x = b; D is symmetric so this is two solves with D."""
+        """Solve D^T D x = b in D's eigenbasis (see ``_eigenbasis``)."""
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.size != self.p:
             raise ValueError(f"vector has {b.size} entries, expected {self.p}")
-        if self._factor is None:
-            factor = splu(self.D.tocsc())
-            # factorization sanity: round trip one probe vector through D^T D
+        if self._basis is None:
+            basis = _eigenbasis(self.lam, self.nu, self.h, self.nx, self.ny)
+            # the basis comes from (lam, nu, h), D's products from the
+            # diagonals: round trip one probe vector through D^T D
             probe = np.random.default_rng(0).standard_normal(self.p)
-            resid = np.linalg.norm(
-                self.hess_vec(factor.solve(factor.solve(probe))) - probe)
+            resid = np.linalg.norm(self.hess_vec(_spectral_solve(basis, probe)) - probe)
             if resid > 1e-10 * np.linalg.norm(probe):
                 raise RuntimeError(
-                    f"smoothing factorization residual {resid:.3e} exceeds contract"
+                    f"smoothing solve residual {resid:.3e} exceeds contract"
                 )
-            self._factor = factor
-        return self._factor.solve(self._factor.solve(b))
+            self._basis = basis
+        return _spectral_solve(self._basis, b)
 
 
 def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOperator:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from gowave.gogn import GoJacobian, GognStep, _gradient
 from gowave.regularizer import SmoothingOperator
@@ -36,6 +37,13 @@ def step_dense_oracle(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
         directional_derivative=float(np.dot(grad, p)),
         fallback=J.n_active == 0,
     )
+
+
+def solve_normal_oracle(reg: SmoothingOperator, b: np.ndarray) -> np.ndarray:
+    """Reference path: solve D^T D x = b as two solves with a sparse LU of D,
+    which is symmetric."""
+    factor = splu(reg.D.tocsc())
+    return factor.solve(factor.solve(np.asarray(b, dtype=np.float64)))
 
 
 def _neumann_laplacian_1d(n: int) -> sp.csr_matrix:

@@ -104,6 +104,13 @@ def test_single_row_matches_sherman_morrison():
     assert np.linalg.norm(step.p - expect) / np.linalg.norm(expect) <= 1e-10
 
 
+def test_non_spd_low_rank_system_is_reported():
+    reg, report, m_k = synthetic_instance(5, n=3)
+    reg.solve_normal = lambda b: -1e6 * b  # a negative definite stand-in for A
+    with pytest.raises(RuntimeError, match="not SPD"):
+        step_woodbury(assemble(report), m_k, reg)
+
+
 def test_all_inactive_falls_back_to_regularization_pull():
     reg, report, m_k = synthetic_instance(1, n=4, inactive=4)
     J = assemble(report)

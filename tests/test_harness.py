@@ -537,7 +537,8 @@ def test_render_file(tmp_path):
 
 
 def test_scipy_is_imported_only_by_a_run_that_factorizes():
-    # gncg only applies its operators; gogn factors D on its first step
+    # gncg only applies its operators and gogn solves with D in its
+    # eigenbasis; nlcg factors the curvature model on its first step
     script = """
 import sys
 import gowave
@@ -552,8 +553,10 @@ run_one(exp, 'gncg')
 print(loaded())
 run_one(exp, 'gogn')
 print(loaded())
+run_one(exp, 'nlcg')
+print(loaded())
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False", "True"]
+    assert out.split() == ["False", "False", "False", "True"]

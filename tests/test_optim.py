@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gowave import optim, regularizer
+from gowave import optim
 from gowave.ledger import SolveLedger
 from gowave.optim import (GNCG_RICHARDSON_ITERS, Budget, CurvatureModel,
                           LinesearchPolicy, admit_curvature_pair, linesearch,
@@ -283,23 +283,18 @@ class TestCurvatureModel:
 
 
 @pytest.mark.parametrize("name, factored", [
-    ("gncg", {}), ("nlcg", {"optim": 1}), ("gogn", {"regularizer": 1}),
-    ("lbfgs", {"optim": 1, "regularizer": 1})])
+    ("gncg", {}), ("nlcg", {"optim": 1}), ("gogn", {}), ("lbfgs", {"optim": 1})])
 def test_runs_factor_only_what_they_solve_with(monkeypatch, name, factored):
-    # gncg only applies the curvature model and the regularizer Hessian;
-    # the others build each factor they solve with once, on first use
+    # gncg only applies the curvature model, and the regularizer solves in
+    # its eigenbasis; nlcg and lbfgs factor the curvature model once, on
+    # first use
     built = {}
+    real = optim.splu
 
-    def count_in(module):
-        real, key = module.splu, module.__name__.rsplit(".", 1)[-1]
-
-        def splu(matrix):
-            built[key] = built.get(key, 0) + 1
-            return real(matrix)
-        monkeypatch.setattr(module, "splu", splu)
-
-    for module in (optim, regularizer):
-        count_in(module)
+    def splu(matrix):
+        built["optim"] = built.get("optim", 0) + 1
+        return real(matrix)
+    monkeypatch.setattr(optim, "splu", splu)
     prob = make_generic(seed=13)
     res = run_any(name, prob, make_reg(), Budget(prob.ledger, 60),
                   policy=UNIT if name == "gncg" else CAP)

@@ -1,12 +1,16 @@
-"""Tests for the smoothing regularizer and its factorized normal solve."""
+"""Tests for the smoothing regularizer and its spectral normal solve."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gowave import regularizer
-from gowave.regularizer import build
+from gowave.regularizer import SmoothingOperator, build
 
-from oracles import smoothing_matrix_oracle
+from oracles import smoothing_matrix_oracle, solve_normal_oracle
 
 LAM, NU, H = 0.37, 4.2e-9, 2400.0
 
@@ -121,13 +125,42 @@ def test_products_equal_csr_products_bitwise(nx, ny, h, kind):
         assert op.hess_vec(v).tobytes() == (ref.T @ (ref @ v)).tobytes()
 
 
-def test_broken_factorization_is_caught_on_first_solve(monkeypatch):
-    real_splu = regularizer.splu
-    monkeypatch.setattr(regularizer, "splu",
-                        lambda matrix: real_splu(2.0 * matrix))
-    op = small_op()  # building factors nothing, so it succeeds
+def test_mismatched_diagonals_are_caught_on_first_solve():
+    # the eigenbasis comes from (lam, nu, h), the products from the diagonals
+    ref = small_op()
+    op = SmoothingOperator(2.0 * ref.diagonals, LAM, NU, H, ref.m0, 8, 8)
     with pytest.raises(RuntimeError, match="exceeds contract"):
         op.solve_normal(np.ones(op.p))
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (13, 7), (8, 12)])
+@pytest.mark.parametrize("h", [8000.0, 700.0])
+def test_solve_normal_matches_lu_reference(nx, ny, h):
+    op = build(nx, ny, h, LAM, NU, np.zeros(nx * ny))
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        b = rng.standard_normal(op.p)
+        ref = solve_normal_oracle(op, b)
+        assert np.linalg.norm(op.solve_normal(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_solve_normal_bits_do_not_depend_on_blas_threads():
+    script = """
+import hashlib
+import numpy as np
+from gowave.regularizer import build
+op = build(128, 128, 2400.0, 0.37, 4.2e-9, np.zeros(128 * 128))
+b = np.random.default_rng(16).standard_normal(op.p)
+print(hashlib.sha256(op.solve_normal(b).tobytes()).hexdigest())
+"""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        digests.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                      check=True, capture_output=True,
+                                      text=True).stdout)
+    assert digests[0] == digests[1]
 
 
 def test_solve_normal_round_trip():
