@@ -6,13 +6,15 @@ The smallest eigenvalue of D^T D is therefore exactly (lam * nu)^2, the
 curvature floor that the step-quality bounds of the gradient-only Gauss-Newton
 method are built on.
 
-D is held as its five diagonals and applied with numpy, bit for bit as
-scipy's CSR product on finite vectors. On a uniform grid with Neumann closure
-the orthonormal DCT-II basis diagonalizes D exactly (Strang 1999, "The
-discrete cosine transform", SIAM Review 41(1)), so D^T D x = b is solved by
-four small matrix products in that basis: nothing is factorized and scipy is
-not imported. The CSR matrix ``D`` is still derived on request, for the
-curvature model of the baseline optimizers and for the tests.
+D is defined once, from (lam, nu, h). Its five diagonals are applied with
+numpy, bit for bit as scipy's CSR product on finite vectors. On a uniform
+grid with Neumann closure the orthonormal DCT-II basis diagonalizes D exactly
+(Strang 1999, "The discrete cosine transform", SIAM Review 41(1)), so
+D^T D x = b is solved by four small matrix products in that basis: nothing
+is factorized and scipy is not imported. In float64 the solve's accuracy
+degrades like cond(D^T D) = ((nu + 8 / h^2) / nu)^2 times the rounding unit.
+The CSR matrix ``D`` is still derived on request, for the curvature model of
+the baseline optimizers and for the tests.
 """
 
 from __future__ import annotations
@@ -29,58 +31,58 @@ def _dct_basis(n: int) -> np.ndarray:
     return q
 
 
-def _eigenbasis(lam: float, nu: float, h: float, nx: int, ny: int) -> tuple:
-    """(Qx, Qy, 1 / d^2): D = (Qx kron Qy) diag(d) (Qx kron Qy)^T with
-    d_kl = lam (nu + 4 sin^2(pi k / 2nx) / h^2 + 4 sin^2(pi l / 2ny) / h^2)."""
-    sx, sy = (4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 / h**2
-              for n in (nx, ny))
-    d = lam * (nu + np.add.outer(sx, sy))
-    return _dct_basis(nx), _dct_basis(ny), 1.0 / (d * d)
-
-
-def _spectral_solve(basis: tuple, b: np.ndarray) -> np.ndarray:
-    """x = Qx [(Qx^T B Qy) / d^2] Qy^T, with B the flat b on the grid."""
-    qx, qy, inv_d2 = basis
-    coeffs = qx.T @ b.reshape(inv_d2.shape) @ qy * inv_d2
-    # The constant mode has the smallest eigenvalue and dominates x. Added
-    # after the products it is rounded once per cell, not once per term,
-    # which keeps the round trip through D^T D at the rounding floor of x.
-    mean = coeffs[0, 0] / np.sqrt(b.size)
-    coeffs[0, 0] = 0.0
-    return (qx @ coeffs @ qy.T + mean).ravel()
-
-
 class SmoothingOperator:
     """Quadratic smoothing penalty around a reference model.
 
-    Row i of ``diagonals`` holds D[i, i + k] for k = -ny, -1, 0, 1, ny, and
-    zero where cell i has no such neighbour. The CSR matrix ``D`` and the
-    eigenbasis of D, built from (lam, nu, h, nx, ny) and checked by one round
-    trip through ``hess_vec``, are made on first use; ``harness.run_one``
-    builds a fresh operator for each run, so one run owns it and its scratch
-    array, also when runs execute on several threads. Use ``build`` to
-    construct one.
+    m0 is the reference model (array-like of nx * ny entries, or anything with
+    a .values attribute of that length). The products and the normal solve
+    are both computed here from (lam, nu, h); the CSR matrix ``D`` is made on
+    first use. ``harness.run_one`` builds a fresh operator for each run, so
+    one run owns it and its scratch array, also when runs execute on several
+    threads.
     """
 
-    def __init__(self, diagonals: np.ndarray, lam: float, nu: float, h: float,
-                 m0: np.ndarray, nx: int, ny: int):
-        self.diagonals = np.asarray(diagonals, dtype=np.float64).reshape(5, nx * ny)
+    def __init__(self, nx: int, ny: int, h: float, lam: float, nu: float, m0):
+        if lam <= 0 or nu <= 0:
+            raise ValueError("smoothing parameters lam and nu must be positive")
+        if min(nx, ny) < 2:
+            raise ValueError(f"smoothing grid {nx} x {ny} needs at least 2 x 2 cells")
+        m0 = np.array(m0.values if hasattr(m0, "values") else m0, dtype=np.float64).ravel()
+        if m0.size != nx * ny:
+            raise ValueError(f"reference model has {m0.size} entries, expected {nx * ny}")
         self.lam = float(lam)
         self.nu = float(nu)
         self.h = float(h)
-        self.m0 = np.asarray(m0, dtype=np.float64).ravel().copy()
+        self.m0 = m0
         self.nx = nx
         self.ny = ny
         self.p = nx * ny
+
+        # Row i of diagonal j holds D[i, i + k] for the j-th offset k, and zero
+        # where cell i has no such neighbour: the values of a sparse assembly,
+        # which counts -2 per axis (-1 at a Neumann end) and divides by h**2
+        # by multiplying by its reciprocal.
+        inv_h2 = 1 / h**2
+        ends = [np.r_[-1.0, np.full(n - 2, -2.0), -1.0] for n in (nx, ny)]
+        diagonals = np.zeros((5, nx, ny))
+        diagonals[2] = lam * (nu - np.add.outer(*ends) * inv_h2)
+        diagonals[0, 1:] = diagonals[1, :, 1:] = lam * (0.0 - inv_h2)
+        diagonals[3, :, :-1] = diagonals[4, :-1] = lam * (0.0 - inv_h2)
         self._offsets = (-ny, -1, 0, 1, ny)
         self._scratch = np.empty(self.p)
         self._terms = []  # per offset k: D[rows, rows + k], rows, rows + k, scratch
-        for d, k in zip(self.diagonals, self._offsets):
+        for d, k in zip(diagonals.reshape(5, self.p), self._offsets):
             rows = slice(max(-k, 0), self.p - max(k, 0))
             self._terms.append((d[rows], rows, slice(rows.start + k, rows.stop + k),
                                 self._scratch[rows]))
         self._D = None
-        self._basis = None  # (Qx, Qy, 1 / d^2) of the spectral normal solve
+
+        # D = (Qx kron Qy) diag(d) (Qx kron Qy)^T with
+        # d_kl = lam (nu + 4 sin^2(pi k / 2nx) / h^2 + 4 sin^2(pi l / 2ny) / h^2)
+        sx, sy = (4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 / self.h**2
+                  for n in (nx, ny))
+        d = self.lam * (self.nu + np.add.outer(sx, sy))
+        self._qx, self._qy, self._inv_d2 = _dct_basis(nx), _dct_basis(ny), 1.0 / (d * d)
 
     @property
     def D(self):
@@ -128,45 +130,24 @@ class SmoothingOperator:
         return self._apply(self._apply(v))
 
     def solve_normal(self, b: np.ndarray) -> np.ndarray:
-        """Solve D^T D x = b in D's eigenbasis (see ``_eigenbasis``)."""
+        """Solve D^T D x = b in D's eigenbasis: x = Qx [(Qx^T B Qy) / d^2] Qy^T,
+        with B the flat b on the grid."""
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.size != self.p:
             raise ValueError(f"vector has {b.size} entries, expected {self.p}")
-        if self._basis is None:
-            basis = _eigenbasis(self.lam, self.nu, self.h, self.nx, self.ny)
-            # the basis comes from (lam, nu, h), D's products from the
-            # diagonals: round trip one probe vector through D^T D
-            probe = np.random.default_rng(0).standard_normal(self.p)
-            resid = np.linalg.norm(self.hess_vec(_spectral_solve(basis, probe)) - probe)
-            if resid > 1e-10 * np.linalg.norm(probe):
-                raise RuntimeError(
-                    f"smoothing solve residual {resid:.3e} exceeds contract"
-                )
-            self._basis = basis
-        return _spectral_solve(self._basis, b)
+        coeffs = self._qx.T @ b.reshape(self.nx, self.ny) @ self._qy * self._inv_d2
+        # The constant mode has the smallest eigenvalue and dominates x. Added
+        # after the products it is rounded once per cell, not once per term,
+        # which keeps the round trip through D^T D at the rounding floor of x.
+        mean = coeffs[0, 0] / np.sqrt(b.size)
+        coeffs[0, 0] = 0.0
+        return (self._qx @ coeffs @ self._qy.T + mean).ravel()
 
 
 def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOperator:
-    """Compute the diagonals of D = lam * (nu I - lap_h) on an nx x ny grid.
+    """The operator D = lam * (nu I - lap_h) on an nx x ny grid around m0.
 
-    m0 is the reference model (array-like of nx * ny entries, or anything with
-    a .values attribute of that length). The Neumann boundary closure pins the
-    constant-mode eigenvalue of D at exactly lam * nu.
+    Raises ValueError unless lam and nu are positive, the grid has at least
+    2 x 2 cells and m0 has nx * ny entries.
     """
-    if lam <= 0 or nu <= 0:
-        raise ValueError("smoothing parameters lam and nu must be positive")
-    if min(nx, ny) < 2:
-        raise ValueError(f"smoothing grid {nx} x {ny} needs at least 2 x 2 cells")
-    m0 = m0.values if hasattr(m0, "values") else np.asarray(m0, dtype=np.float64)
-    if m0.size != nx * ny:
-        raise ValueError(f"reference model has {m0.size} entries, expected {nx * ny}")
-
-    # the values of a sparse assembly, which counts -2 per axis (-1 at a
-    # Neumann end) and divides by h**2 by multiplying by its reciprocal
-    inv_h2 = 1 / h**2
-    ends = [np.r_[-1.0, np.full(n - 2, -2.0), -1.0] for n in (nx, ny)]
-    diagonals = np.zeros((5, nx, ny))
-    diagonals[2] = lam * (nu - np.add.outer(*ends) * inv_h2)
-    diagonals[0, 1:] = diagonals[1, :, 1:] = lam * (0.0 - inv_h2)
-    diagonals[3, :, :-1] = diagonals[4, :-1] = lam * (0.0 - inv_h2)
-    return SmoothingOperator(diagonals, lam, nu, h, m0, nx, ny)
+    return SmoothingOperator(nx, ny, h, lam, nu, m0)

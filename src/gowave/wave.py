@@ -99,11 +99,6 @@ class SimGrid:
         """Physical size (Lx, Ly) of the interior domain in meters."""
         return ((self.nx - 1) * self.h, (self.ny - 1) * self.h)
 
-    def snap(self, position) -> tuple[int, int]:
-        """Snap a physical (x, y) position to the nearest interior cell."""
-        ix, iy = self.snap_all([position])[0]
-        return int(ix), int(iy)
-
     def snap_all(self, positions) -> np.ndarray:
         """Snap a sequence of (x, y) positions to their nearest interior cells
         (round half to even), as an (n, 2) array."""
@@ -274,12 +269,6 @@ else:
     _kept_rows = np.empty
 
 
-def _pad_edge(interior: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return interior.copy()
-    return np.pad(interior, pad, mode="edge")
-
-
 def _fold_edge(padded: np.ndarray, pad: int) -> np.ndarray:
     """Exact transpose of edge-replication padding: sum strips onto the rim."""
     if pad == 0:
@@ -342,7 +331,7 @@ class _Workspace:
         # a = 1 / (1 + gamma dt), b = 1 - gamma dt, with 12 h^2 lap(u) =
         # P - 60 u, is u^{n+1} = E u^n - AB u^{n-1} + C P.
         c_int = grid.c0 * (1.0 + model.as_2d())
-        self.v = _pad_edge(c_int * c_int, self.bw)
+        self.v = np.pad(c_int * c_int, self.bw, mode="edge")
         gamma_dt = _damping_profile(grid) * self.dt
         a = 1.0 / (1.0 + gamma_dt)
         self.c_per_v = a * self.dt**2 / (12.0 * grid.h**2)
@@ -549,7 +538,8 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     ws = _Workspace(model, grid, receivers)
     scatter = ws.check_field(forward_field)
 
-    dv = _pad_edge(ws.model_chain(model) * direction.reshape(model.nx, model.ny), ws.bw)
+    dv = np.pad(ws.model_chain(model) * direction.reshape(model.nx, model.ny),
+                ws.bw, mode="edge")
     # E u^n + C P differentiated along dv, with C = c_per_v v: c_per_v dv sigma^n
     kick = ws.coef(ws.c_per_v * dv)
     extra = np.empty(kick.size)

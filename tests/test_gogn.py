@@ -107,7 +107,7 @@ def test_single_row_matches_sherman_morrison():
 def test_non_spd_low_rank_system_is_reported():
     reg, report, m_k = synthetic_instance(5, n=3)
     reg.solve_normal = lambda b: -1e6 * b  # a negative definite stand-in for A
-    with pytest.raises(RuntimeError, match="not SPD"):
+    with pytest.raises(RuntimeError, match=r"not SPD .* raise \[regularizer\] nu"):
         step_woodbury(assemble(report), m_k, reg)
 
 

@@ -501,6 +501,27 @@ class TestRunComparison:
                     checked.append(key)
         assert {"lam", "nu", "h0_inf_norm", "gogn_objective"} <= set(checked)
 
+    def test_tiny_nu_runs_to_budget(self, tmp_path):
+        # cond(D^T D) = (1 + 8 / (h^2 nu))^2 ~ 4e8: the normal solve's
+        # residual is then ~cond * eps, which is accuracy, not a failure
+        cfg = tiny_config(h=20000.0, nt=60, boundary_width=6, nu="1e-12",
+                          optimizers=("gogn", "lbfgs"), budget=24)
+        results = run_comparison(cfg, tmp_path / "out")
+        statuses = {name: res.status if res else None for name, res in results.items()}
+        assert statuses == {"gogn": "budget", "lbfgs": "budget"}
+
+    def test_too_small_nu_names_the_knob(self, tmp_path):
+        # at h^2 nu = 4e-10 gogn's N x N system loses definiteness in float64
+        cfg = tiny_config(h=20000.0, nt=60, boundary_width=6, nu="1e-18",
+                          optimizers=("gogn",), budget=24)
+        out = tmp_path / "out"
+        assert run_comparison(cfg, out)["gogn"] is None
+        status = re.search(r"gogn_status = (.*)", (out / "manifest.cfg").read_text())
+        assert re.fullmatch(
+            r"failed \(RuntimeError: low-rank system not SPD \(cond ~ \S+\): "
+            r"cond\(D\^T D\) ~ 4\.000e\+20 at h\^2 nu = 4\.000e-10 is too large "
+            r"for float64; raise \[regularizer\] nu\)", status.group(1))
+
 
 class TestAccountingGuard:
     def test_violation_raises(self):

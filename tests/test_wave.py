@@ -296,7 +296,7 @@ def reference_coefficients(model, grid):
     dt = grid.dt_record / k
     c = grid.c0 * (1.0 + model.as_2d())
     gamma = wave._damping_profile(grid)
-    return (k, dt, wave._pad_edge(c * c, grid.boundary_width),
+    return (k, dt, np.pad(c * c, grid.boundary_width, mode="edge"),
             1.0 / (1.0 + gamma * dt), 1.0 - gamma * dt)
 
 
@@ -328,8 +328,8 @@ def born_reference(model, direction, scatter, recv, grid):
     k, dt, v, a, b = reference_coefficients(model, grid)
     bw = grid.boundary_width
     rx, ry = (grid.snap_all(recv) + bw).T
-    dv = wave._pad_edge(2.0 * grid.c0**2 * (1.0 + model.as_2d())
-                        * direction.reshape(model.nx, model.ny), bw)
+    dv = np.pad(2.0 * grid.c0**2 * (1.0 + model.as_2d())
+                * direction.reshape(model.nx, model.ny), bw, mode="edge")
     du_prev, du = np.zeros(v.shape), np.zeros(v.shape)
     traces = np.zeros((len(rx), grid.nt))
     for n in range(k * (grid.nt - 1)):
@@ -560,9 +560,9 @@ def test_source_outside_domain_rejected():
 def test_snap_rounds_to_nearest_cell():
     grid = small_grid()
     lx, ly = grid.extent
-    assert grid.snap((0.4 * grid.h, 0.6 * grid.h)) == (0, 1)
-    assert grid.snap((lx, ly)) == (grid.nx - 1, grid.ny - 1)
-    assert grid.snap((0.5 * grid.h, 2.5 * grid.h)) == (0, 2)  # half to even
+    cases = [(0.4 * grid.h, 0.6 * grid.h), (lx, ly), (0.5 * grid.h, 2.5 * grid.h)]
+    # the last case rounds half to even
+    assert grid.snap_all(cases).tolist() == [[0, 1], [grid.nx - 1, grid.ny - 1], [0, 2]]
     rng = np.random.default_rng(5)
     pts = [tuple(p) for p in rng.uniform((0.0, 0.0), (lx, ly), size=(200, 2))]
     pts += [((i + 0.5) * grid.h, (j + 0.5) * grid.h) for i in range(grid.nx - 1) for j in (0, 1)]
