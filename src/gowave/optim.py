@@ -143,39 +143,109 @@ def linesearch(objective, m, p, f0: float, g0: float, policy: LinesearchPolicy):
     return 0.0, None, f0, evals
 
 
-def splu(matrix):
-    """scipy's sparse LU, imported on the first factorization."""
-    from scipy.sparse.linalg import splu as factorize
-    return factorize(matrix)
+def _dense_block(bands: dict, row0: int, col0: int, nr: int, nc: int) -> np.ndarray:
+    """Entries [row0, row0 + nr) x [col0, col0 + nc) of the banded matrix
+    whose band s holds entry (i, i + s) at position i."""
+    out = np.zeros((nr, nc))
+    for s, band in bands.items():
+        shift = row0 + s - col0
+        r = np.arange(max(0, -shift), min(nr, nc - shift))
+        out[r, r + shift] = band[row0 + r]
+    return out
+
+
+def block_cholesky(bands: dict, width: int) -> list:
+    """Cholesky factor L of a symmetric positive definite matrix, given by
+    its bands, that is block tridiagonal in blocks of `width` rows (the last
+    block may be shorter). Golub & Van Loan, Matrix Computations,
+    4th ed., section 4.5.
+
+    Returns one (inverse of L's diagonal block, L's block below it) pair per
+    block, the last with None below. Only matrix-vector products are used,
+    one column or row at a time, so the factor's bytes do not depend on the
+    BLAS thread count. Raises np.linalg.LinAlgError on a pivot that is not
+    positive.
+    """
+    p = bands[0].size
+    factor = []
+    schur = _dense_block(bands, 0, 0, min(width, p), min(width, p))
+    for start in range(0, p, width):
+        n = schur.shape[0]
+        chol = np.zeros((n, n))
+        for j in range(n):
+            col = schur[j:, j] - chol[j:, :j] @ chol[j, :j]
+            if not col[0] > 0.0:
+                raise np.linalg.LinAlgError(
+                    f"curvature model not positive definite: pivot {col[0]:.3e} "
+                    f"at row {start + j}")
+            chol[j:, j] = col / np.sqrt(col[0])
+        inv = np.zeros((n, n))
+        for i in range(n):
+            inv[i, :i] = -(chol[i, :i] @ inv[:i, :i]) / chol[i, i]
+            inv[i, i] = 1.0 / chol[i, i]
+        nxt = start + n
+        if nxt == p:
+            factor.append((inv, None))
+            break
+        m = min(width, p - nxt)
+        coupling = _dense_block(bands, nxt, start, m, n)
+        # the block of L below: coupling @ inv^T, one column at a time
+        below = np.zeros((m, n))
+        for j in range(n):
+            below[:, j] = coupling[:, :j + 1] @ inv[j, :j + 1]
+        factor.append((inv, below))
+        # Schur complement of the next block; its factor reads the lower
+        # triangle only
+        schur = _dense_block(bands, nxt, nxt, m, m)
+        for j in range(m):
+            schur[j:, j] -= below[j:] @ below[j]
+    return factor
 
 
 class CurvatureModel:
     """Fixed operator M = diag(h0) + D^T D with exact solves and a damped
     Richardson sweep, shared by the three baseline optimizers.
 
-    The sparse LU of M is built on the first ``solve``, so gncg, which only
-    applies M, never factors it. ``harness.run_one`` builds a fresh model
-    for each run, so one run owns it, also when runs execute on several
-    threads.
+    In the flat (nx, ny) layout D^T D reaches two grid rows either way, so M
+    is block tridiagonal in blocks of two grid rows; its block Cholesky
+    factor, 32 nx ny^2 bytes, is built on the first ``solve``, so gncg,
+    which only applies M, never factors it. ``harness.run_one`` builds a
+    fresh model for each run, so one run owns it, also when runs execute on
+    several threads.
     """
 
     def __init__(self, h0_diag: np.ndarray, reg):
         self.h0 = np.asarray(h0_diag, dtype=np.float64).ravel()
-        if np.any(self.h0 <= 0):
+        if not np.all(np.isfinite(self.h0) & (self.h0 > 0)):
             raise ValueError("diagonal curvature estimate must be positive")
         self.reg = reg
-        self._lu = None
+        self._factor = None
         self._lambda_max = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.h0 * v + self.reg.hess_vec(v)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            import scipy.sparse as sp
-            matrix = sp.diags(self.h0) + self.reg.D.T @ self.reg.D
-            self._lu = splu(matrix.tocsc())
-        return self._lu.solve(np.asarray(b, dtype=np.float64))
+        """M x = b by one forward and one backward sweep over the factor."""
+        if self._factor is None:
+            bands = self.reg.normal_bands()
+            bands[0] = bands[0] + self.h0
+            self._factor = block_cholesky(bands, 2 * self.reg.ny)
+        x = np.array(b, dtype=np.float64).ravel()
+        w = 2 * self.reg.ny
+        # L y = b, then L^T x = y, block by block in place
+        for k, (inv, below) in enumerate(self._factor):
+            xk = x[k * w:(k + 1) * w]
+            xk[:] = inv @ xk
+            if below is not None:
+                x[(k + 1) * w:(k + 2) * w] -= below @ xk
+        for k in reversed(range(len(self._factor))):
+            inv, below = self._factor[k]
+            xk = x[k * w:(k + 1) * w]
+            if below is not None:
+                xk -= below.T @ x[(k + 1) * w:(k + 2) * w]
+            xk[:] = inv.T @ xk
+        return x
 
     def lambda_max(self) -> float:
         """Largest eigenvalue by 20 steps of power iteration with a fixed
@@ -317,9 +387,9 @@ def run_nlcg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     """Preconditioned Polak-Ribiere+ nonlinear conjugate gradient.
 
     The preconditioner solves (diag(h0) + D^T D) z = grad F exactly through
-    a sparse factorization; beta is clipped at zero and the direction is
-    restarted to preconditioned steepest descent whenever it fails to be a
-    descent direction.
+    the curvature model's block Cholesky factor; beta is clipped at zero
+    and the direction is restarted to preconditioned steepest descent
+    whenever it fails to be a descent direction.
     """
     run = _Run("nlcg", problem, reg, budget,
                policy or LinesearchPolicy(initial_step_rule="cap"))

@@ -13,8 +13,9 @@ grid with Neumann closure the orthonormal DCT-II basis diagonalizes D exactly
 D^T D x = b is solved by four small matrix products in that basis: nothing
 is factorized and scipy is not imported. In float64 the solve's accuracy
 degrades like cond(D^T D) = ((nu + 8 / h^2) / nu)^2 times the rounding unit.
-The CSR matrix ``D`` is still derived on request, for the curvature model of
-the baseline optimizers and for the tests.
+The thirteen diagonals of D^T D are formed from D's five for the curvature
+model of the baseline optimizers; the CSR matrix ``D`` is still derived on
+request, for the tests.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class SmoothingOperator:
     """
 
     def __init__(self, nx: int, ny: int, h: float, lam: float, nu: float, m0):
-        if lam <= 0 or nu <= 0:
+        if not (0 < lam < np.inf and 0 < nu < np.inf):
             raise ValueError("smoothing parameters lam and nu must be positive")
         if min(nx, ny) < 2:
             raise ValueError(f"smoothing grid {nx} x {ny} needs at least 2 x 2 cells")
@@ -69,9 +70,10 @@ class SmoothingOperator:
         diagonals[0, 1:] = diagonals[1, :, 1:] = lam * (0.0 - inv_h2)
         diagonals[3, :, :-1] = diagonals[4, :-1] = lam * (0.0 - inv_h2)
         self._offsets = (-ny, -1, 0, 1, ny)
+        self._diagonals = diagonals.reshape(5, self.p)
         self._scratch = np.empty(self.p)
         self._terms = []  # per offset k: D[rows, rows + k], rows, rows + k, scratch
-        for d, k in zip(diagonals.reshape(5, self.p), self._offsets):
+        for d, k in zip(self._diagonals, self._offsets):
             rows = slice(max(-k, 0), self.p - max(k, 0))
             self._terms.append((d[rows], rows, slice(rows.start + k, rows.stop + k),
                                 self._scratch[rows]))
@@ -101,6 +103,19 @@ class SmoothingOperator:
             np.multiply(coef, v[cols], out=t)
             np.add(o, t, out=o)
         return out
+
+    def normal_bands(self) -> dict:
+        """The diagonals of D^T D = D D by offset s: entry i of band s is
+        (D^T D)[i, i + s], and zero where cell i has no such neighbour."""
+        bands = {}
+        for a, da in zip(self._offsets, self._diagonals):
+            rows = slice(max(-a, 0), self.p - max(a, 0))
+            for b, db in zip(self._offsets, self._diagonals):
+                # D[i, i + a] D[i + a, i + a + b]; a missing neighbour of
+                # either cell has a zero entry on its diagonal
+                band = bands.setdefault(a + b, np.zeros(self.p))
+                band[rows] += da[rows] * db[rows.start + a:rows.stop + a]
+        return bands
 
     @property
     def mu(self) -> float:
@@ -147,7 +162,7 @@ class SmoothingOperator:
 def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOperator:
     """The operator D = lam * (nu I - lap_h) on an nx x ny grid around m0.
 
-    Raises ValueError unless lam and nu are positive, the grid has at least
-    2 x 2 cells and m0 has nx * ny entries.
+    Raises ValueError unless lam and nu are positive and finite, the grid
+    has at least 2 x 2 cells and m0 has nx * ny entries.
     """
     return SmoothingOperator(nx, ny, h, lam, nu, m0)

@@ -46,6 +46,13 @@ def solve_normal_oracle(reg: SmoothingOperator, b: np.ndarray) -> np.ndarray:
     return factor.solve(factor.solve(np.asarray(b, dtype=np.float64)))
 
 
+def curvature_solve_oracle(h0: np.ndarray, reg: SmoothingOperator,
+                           b: np.ndarray) -> np.ndarray:
+    """Reference path: solve (diag(h0) + D^T D) x = b with a sparse LU."""
+    matrix = sp.diags(np.asarray(h0, dtype=np.float64)) + reg.D.T @ reg.D
+    return splu(matrix.tocsc()).solve(np.asarray(b, dtype=np.float64))
+
+
 def _neumann_laplacian_1d(n: int) -> sp.csr_matrix:
     """1D second-difference matrix with reflecting (Neumann) end closure."""
     main = np.full(n, -2.0)

@@ -557,9 +557,9 @@ def test_render_file(tmp_path):
     assert set(raw.split(b"\n", 3)[3]) == {128}
 
 
-def test_scipy_is_imported_only_by_a_run_that_factorizes():
-    # gncg only applies its operators and gogn solves with D in its
-    # eigenbasis; nlcg factors the curvature model on its first step
+def test_no_run_imports_scipy():
+    # gncg only applies its operators, gogn solves with D in its eigenbasis,
+    # and nlcg and lbfgs factor the curvature model with numpy
     script = """
 import sys
 import gowave
@@ -575,9 +575,10 @@ print(loaded())
 run_one(exp, 'gogn')
 print(loaded())
 run_one(exp, 'nlcg')
+run_one(exp, 'lbfgs')
 print(loaded())
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False", "False", "True"]
+    assert out.split() == ["False", "False", "False", "False"]

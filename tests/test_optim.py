@@ -1,5 +1,9 @@
 """Linesearch, budget, and optimizer driver tests on closed-form toys."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +18,8 @@ from gowave.optim import (GNCG_RICHARDSON_ITERS, Budget, CurvatureModel,
 from gowave.problem import MisfitReport
 from gowave.regularizer import build
 from gowave.wave import ModelGrid
+
+from oracles import curvature_solve_oracle
 
 NX, NY = 10, 5
 P = NX * NY
@@ -277,24 +283,81 @@ class TestCurvatureModel:
         parts = 2.5 * self.curv.richardson(u) - 0.5 * self.curv.richardson(v)
         np.testing.assert_allclose(combo, parts, rtol=1e-11, atol=1e-14)
 
-    def test_requires_positive_diagonal(self):
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_requires_positive_diagonal(self, value):
         with pytest.raises(ValueError, match="positive"):
-            CurvatureModel(np.zeros(P), self.reg)
+            CurvatureModel(np.full(P, value), self.reg)
+
+
+def desk_like_curvature(nx, ny, seed=0):
+    """h0 spread over six decades below its peak and the auto regularizer
+    weights, which put D^T D's top eigenvalue near 0.09 max(h0)."""
+    h = 2400.0
+    nu = 1.0 / (5.0 * h) ** 2
+    reg = build(nx, ny, h, 0.3 / (nu + 8.0 / h**2), nu, np.zeros(nx * ny))
+    h0 = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 0.0, nx * ny)
+    return h0, reg
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (13, 7), (8, 12)])
+def test_curvature_solve_matches_lu_reference(nx, ny):
+    h0, reg = desk_like_curvature(nx, ny)
+    curv = CurvatureModel(h0, reg)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        b = rng.standard_normal(nx * ny)
+        ref = curvature_solve_oracle(h0, reg, b)
+        assert np.linalg.norm(curv.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_indefinite_matrix_fails_the_factor():
+    # D^T D - 2 mu I has one negative eigenvalue, the constant mode's, so
+    # every leading block is definite and a late pivot turns negative
+    reg = build(13, 7, 2400.0, 0.37, 4.2e-9, np.zeros(91))
+    bands = reg.normal_bands()
+    bands[0] = bands[0] - 2.0 * reg.mu
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        optim.block_cholesky(bands, 2 * reg.ny)
+
+
+def test_curvature_solve_bits_do_not_depend_on_blas_threads():
+    script = """
+import hashlib
+import numpy as np
+from gowave.optim import CurvatureModel
+from gowave.regularizer import build
+for n in (64, 128):
+    h = 2400.0
+    nu = 1.0 / (5.0 * h) ** 2
+    reg = build(n, n, h, 0.3 / (nu + 8.0 / h**2), nu, np.zeros(n * n))
+    rng = np.random.default_rng(18)
+    curv = CurvatureModel(10.0 ** rng.uniform(-6.0, 0.0, n * n), reg)
+    print(hashlib.sha256(curv.solve(rng.standard_normal(n * n)).tobytes()).hexdigest())
+"""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        digests.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                      check=True, capture_output=True,
+                                      text=True).stdout)
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("name, factored", [
-    ("gncg", {}), ("nlcg", {"optim": 1}), ("gogn", {}), ("lbfgs", {"optim": 1})])
+    ("gncg", {}), ("nlcg", {"block_cholesky": 1}), ("gogn", {}),
+    ("lbfgs", {"block_cholesky": 1})])
 def test_runs_factor_only_what_they_solve_with(monkeypatch, name, factored):
     # gncg only applies the curvature model, and the regularizer solves in
     # its eigenbasis; nlcg and lbfgs factor the curvature model once, on
     # first use
     built = {}
-    real = optim.splu
+    real = optim.block_cholesky
 
-    def splu(matrix):
-        built["optim"] = built.get("optim", 0) + 1
-        return real(matrix)
-    monkeypatch.setattr(optim, "splu", splu)
+    def block_cholesky(*args):
+        built["block_cholesky"] = built.get("block_cholesky", 0) + 1
+        return real(*args)
+    monkeypatch.setattr(optim, "block_cholesky", block_cholesky)
     prob = make_generic(seed=13)
     res = run_any(name, prob, make_reg(), Budget(prob.ledger, 60),
                   policy=UNIT if name == "gncg" else CAP)

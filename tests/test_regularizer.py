@@ -136,6 +136,20 @@ def test_solve_normal_matches_lu_reference(nx, ny, h):
         assert np.linalg.norm(op.solve_normal(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("nx, ny", [(13, 7), (8, 12)])
+def test_normal_bands_are_the_diagonals_of_dtd(nx, ny):
+    op = build(nx, ny, 700.0, LAM, NU, np.zeros(nx * ny))
+    dtd = (op.D.T @ op.D).toarray()
+    bands = op.normal_bands()
+    for s in range(-op.p + 1, op.p):
+        band = bands.get(s, np.zeros(op.p))
+        expect = np.diagonal(dtd, s)
+        rows = slice(max(-s, 0), op.p - max(s, 0))
+        np.testing.assert_allclose(band[rows], expect, rtol=1e-14,
+                                   atol=1e-15 * np.abs(dtd).max())
+        assert not band[:rows.start].any() and not band[rows.stop:].any()
+
+
 def test_solve_normal_bits_do_not_depend_on_blas_threads():
     script = """
 import hashlib
@@ -220,6 +234,9 @@ def test_build_rejects_bad_parameters():
         build(8, 8, H, 0.0, NU, np.zeros(64))
     with pytest.raises(ValueError):
         build(8, 8, H, LAM, -1.0, np.zeros(64))
+    for lam, nu in ((np.nan, NU), (LAM, np.nan), (np.inf, NU), (LAM, np.inf)):
+        with pytest.raises(ValueError, match="must be positive"):
+            build(8, 8, H, lam, nu, np.zeros(64))
     with pytest.raises(ValueError):
         build(8, 8, H, LAM, NU, np.zeros(63))
     with pytest.raises(ValueError, match="2 x 2"):
