@@ -42,7 +42,6 @@ class GognStep:
     p: np.ndarray
     n_small: int
     cond_estimate: float
-    directional_derivative: float
     fallback: bool = False
 
 
@@ -63,11 +62,6 @@ def assemble(report) -> GoJacobian:
     return GoJacobian(rows=rows, rho=rho, active=active)
 
 
-def _gradient(J: GoJacobian, delta: np.ndarray, reg: SmoothingOperator) -> np.ndarray:
-    """grad F = J^T rho + D^T D delta (identity J^T rho = sum grad(phi_i))."""
-    return J.rows.T @ J.rho + reg.hess_vec(delta)
-
-
 def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
     """Solve the Gauss-Newton system through the low-rank update formula.
 
@@ -81,11 +75,7 @@ def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
     delta = values.ravel() - reg.m0
 
     if J.n_active == 0:
-        p = -delta
-        grad = reg.hess_vec(delta)
-        return GognStep(p=p, n_small=0, cond_estimate=1.0,
-                        directional_derivative=float(np.dot(grad, p)),
-                        fallback=True)
+        return GognStep(p=-delta, n_small=0, cond_estimate=1.0, fallback=True)
 
     rows = J.rows[J.active]
     rho = J.rho[J.active]
@@ -104,12 +94,5 @@ def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
             "is too large for float64; raise [regularizer] nu"
         ) from exc
     y = np.linalg.solve(chol.T, np.linalg.solve(chol, rows @ delta - rho))
-    p = ajt @ y - delta
-
-    grad = _gradient(J, delta, reg)
-    return GognStep(
-        p=p,
-        n_small=n_a,
-        cond_estimate=float(np.linalg.cond(small)),
-        directional_derivative=float(np.dot(grad, p)),
-    )
+    return GognStep(p=ajt @ y - delta, n_small=n_a,
+                    cond_estimate=float(np.linalg.cond(small)))

@@ -105,6 +105,15 @@ class ExperimentConfig:
                 f"one kept forward field would hold {kept / 1e9:.3g} GB, past the "
                 f"{KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit: reduce the grid, "
                 "nt or the substeps (dt * c0 / h)")
+        # the solves square h and dt, and nu = auto squares 5 h; a float
+        # power raises OverflowError where the product below is inf
+        squared = [("h", self.h), ("dt", self.dt)]
+        if self.nu == "auto":
+            squared.append(("h", 5.0 * self.h))
+        for key, value in squared:
+            if not np.isfinite(value * value):
+                raise ConfigError(f"grid.{key} = {_get(self, key)!r} is too large: "
+                                  f"the square of {value!r} overflows")
         if self.geometry.kind not in ("uniform", "clustered", "from-file"):
             raise ConfigError(f"unknown geometry kind {self.geometry.kind!r}")
         if self.geometry.kind == "from-file" and not self.geometry.file:
@@ -258,9 +267,9 @@ def _bundled_layout():
     return _parse_layout(text, "clustered_layout.txt")
 
 
-def gen_geometry(spec: GeometrySpec, seed: int, extent: tuple,
-                 frequency: float, amplitude: float = 1.0) -> Geometry:
-    """Sample or load an acquisition geometry.
+def gen_geometry(spec: GeometrySpec, extent: tuple, frequency: float,
+                 amplitude: float = 1.0) -> Geometry:
+    """Sample or load an acquisition geometry, drawing from spec.seed.
 
     uniform: sources then receivers i.i.d. over the inner square spanning
     [0.2, 0.8] of each domain side. clustered / from-file: take the first
@@ -269,7 +278,7 @@ def gen_geometry(spec: GeometrySpec, seed: int, extent: tuple,
     jitter (std 5% of domain width) of the existing ones, cycling through
     them; jittered positions falling outside the domain are re-drawn.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     lx, ly = extent
     if spec.kind == "uniform":
         src = np.column_stack([rng.uniform(0.2 * lx, 0.8 * lx, spec.n_sources),
@@ -401,8 +410,8 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
     cfg.validate()
     grid = cfg.sim_grid()
     try:
-        geom = gen_geometry(cfg.geometry, cfg.geometry.seed, grid.extent,
-                            cfg.frequency, cfg.amplitude)
+        geom = gen_geometry(cfg.geometry, grid.extent, cfg.frequency,
+                            cfg.amplitude)
         target = gen_target(cfg.target, cfg.nx, cfg.ny)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -38,6 +38,7 @@ GNCG_CG_TOL = 0.1            # relative residual ending gncg's inner CG
 GNCG_CG_MAXITER = 5          # inner CG iterations (Hessian products) per step
 GNCG_RICHARDSON_ITERS = 300  # sweeps of the preconditioner's base solve
 GNCG_RETAIN_PAIRS = 20       # harvested (v, Hv) pairs kept by gncg
+CURVATURE_PAIR_TOL = 1e-10   # least cosine of (s, y) for an admitted pair
 
 
 @dataclass
@@ -75,7 +76,7 @@ class LinesearchPolicy:
 class Budget:
     """PDE-solve budget counted against a ledger from the moment of creation."""
 
-    def __init__(self, ledger, max_solves: int = 100):
+    def __init__(self, ledger, max_solves: int):
         if max_solves < 1:
             raise ValueError("budget must allow at least one solve")
         self.ledger = ledger
@@ -275,11 +276,11 @@ class CurvatureModel:
         return x
 
 
-def admit_curvature_pair(pairs, s, y, tol: float = 1e-10) -> bool:
+def admit_curvature_pair(pairs, s, y) -> bool:
     """Append (s, y, 1/y^T s) unless the pair's curvature is not safely
     positive; returns whether the pair was admitted."""
     sy = float(np.dot(s, y))
-    if sy <= tol * np.linalg.norm(s) * np.linalg.norm(y):
+    if sy <= CURVATURE_PAIR_TOL * np.linalg.norm(s) * np.linalg.norm(y):
         return False
     pairs.append((s, y, 1.0 / sy))
     return True
@@ -517,11 +518,11 @@ def run_gogn(problem, reg, budget, policy=None) -> RunResult:
 
     def direction(g, report):
         step = step_woodbury(assemble(report), run.values, reg)
-        if step.directional_derivative >= 0.0:
+        g0 = float(np.dot(g, step.p))
+        if g0 >= 0.0:
             # only possible when the gradient vanishes or the fallback step
             # is zero; nothing left to do
             raise _Stop("converged")
-        return (step.p, step.directional_derivative,
-                f"{step.cond_estimate:.6e}")
+        return step.p, g0, f"{step.cond_estimate:.6e}"
 
     return run.drive(direction)

@@ -59,7 +59,6 @@ class DataSet:
 
     observed: list
     weights: np.ndarray
-    noise_level: float = 0.0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -138,7 +137,7 @@ def make_noisy_data(clean: list, sigma: float, seed: int,
         observed.append(noisy)
     if weights is None:
         weights = np.ones((clean[0].shape[0], len(clean)))
-    return DataSet(observed=observed, weights=weights, noise_level=sigma)
+    return DataSet(observed=observed, weights=weights)
 
 
 class FwiProblem:

@@ -147,22 +147,21 @@ class ModelGrid:
 
 @dataclass
 class SourceSpec:
-    """Point source with a Ricker source-time function.
-
-    The delay defaults to 1.5 / frequency so the wavelet switches on near
-    zero amplitude at t = 0.
-    """
+    """Point source with a Ricker source-time function."""
 
     position: tuple[float, float]
     frequency: float
-    t0: float | None = None
     amplitude: float = 1.0
 
     def __post_init__(self):
         if self.frequency <= 0:
             raise ValueError("source frequency must be positive")
-        if self.t0 is None:
-            self.t0 = 1.5 / self.frequency
+
+    @property
+    def t0(self) -> float:
+        """Wavelet delay, 1.5 / frequency, so the wavelet switches on near
+        zero amplitude at t = 0."""
+        return 1.5 / self.frequency
 
 
 @dataclass

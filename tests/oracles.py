@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from gowave.gogn import GoJacobian, GognStep, _gradient
+from gowave.gogn import GoJacobian, GognStep
 from gowave.regularizer import SmoothingOperator
 
 
@@ -22,7 +22,7 @@ def step_dense_oracle(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
     rows = J.rows[J.active]
     dtd = (reg.D.T @ reg.D).toarray()
     hess = rows.T @ rows + dtd
-    grad = _gradient(J, delta, reg)
+    grad = J.rows.T @ J.rho + reg.hess_vec(delta)
     p = np.linalg.solve(hess, -grad)
 
     if rows.shape[0] > 0:
@@ -34,7 +34,6 @@ def step_dense_oracle(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
         p=p,
         n_small=rows.shape[0],
         cond_estimate=cond,
-        directional_derivative=float(np.dot(grad, p)),
         fallback=J.n_active == 0,
     )
 

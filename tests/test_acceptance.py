@@ -240,7 +240,7 @@ def test_criterion_05_direction_quality_bounds():
 
         grad = J.rows.T @ J.rho + reg.hess_vec(m_k - reg.m0)
         gnorm = float(np.linalg.norm(grad))
-        dd = step.directional_derivative
+        dd = float(grad @ step.p)
         if not dd <= -gnorm**2 / (big_m + m_j) * (1.0 - tol):
             failures.append(f"seed {seed}: descent bound violated ({dd:.6e})")
         cos_theta = -dd / (np.linalg.norm(step.p) * gnorm)

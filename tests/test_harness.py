@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,18 @@ class TestConfig:
         # a flipped polarity and a sponge-free boundary remain valid
         ExperimentConfig(amplitude=-1.0, boundary_strength=0.0).validate()
 
+    def test_overflowing_squares_rejected_before_any_solve(self, monkeypatch):
+        # the sweeps square h and dt, and nu = auto squares 5 h; each of
+        # these raised OverflowError inside the first clean-data solve
+        monkeypatch.setattr(harness, "forward_solve",
+                            lambda *args, **kw: pytest.fail("a solve ran"))
+        for overrides, shown in ((dict(h=1e155), "grid.h = 1e+155"),
+                                 (dict(c0=1e-300, dt=1e160), "grid.dt = 1e+160"),
+                                 (dict(h=3e153), "grid.h = 3e+153")):
+            cfg = tiny_config(optimizers=("gogn",), **overrides)
+            with pytest.raises(ConfigError, match=re.escape(shown)):
+                prepare_experiment(cfg)
+
     def test_kept_field_size_is_bounded(self):
         # desk's kept field: 149 steps of 104 x 108 band rows, 13.4 MB
         desk = ExperimentConfig()
@@ -188,13 +201,14 @@ class TestConfig:
 
 def random_config(rng):
     """A valid config whose every key is drawn at random. A draw whose kept
-    forward field would pass the size bound is made again."""
+    forward field would pass the size bound, or whose h or dt squares past
+    the float range, is made again."""
     while True:
         cfg = _random_draw(rng)
         try:
             return cfg.validate()
         except ConfigError as exc:
-            if "kept forward field" not in str(exc):
+            if "kept forward field" not in str(exc) and "overflows" not in str(exc):
                 raise
 
 
@@ -233,17 +247,17 @@ def _random_draw(rng):
 
 class TestGeometry:
     def test_same_seed_same_layout(self):
-        spec = GeometrySpec(kind="uniform", n_sources=5, n_receivers=30)
-        a = gen_geometry(spec, 42, EXTENT, 0.1)
-        b = gen_geometry(spec, 42, EXTENT, 0.1)
+        spec = GeometrySpec(kind="uniform", n_sources=5, n_receivers=30, seed=42)
+        a = gen_geometry(spec, EXTENT, 0.1)
+        b = gen_geometry(spec, EXTENT, 0.1)
         assert [s.position for s in a.sources] == [s.position for s in b.sources]
         np.testing.assert_array_equal(a.receivers, b.receivers)
-        c = gen_geometry(spec, 43, EXTENT, 0.1)
+        c = gen_geometry(replace(spec, seed=43), EXTENT, 0.1)
         assert [s.position for s in a.sources] != [s.position for s in c.sources]
 
     def test_uniform_samples_inner_square(self):
-        spec = GeometrySpec(kind="uniform", n_sources=2, n_receivers=10_000)
-        geom = gen_geometry(spec, 0, EXTENT, 0.1)
+        spec = GeometrySpec(kind="uniform", n_sources=2, n_receivers=10_000, seed=0)
+        geom = gen_geometry(spec, EXTENT, 0.1)
         pos = np.asarray(geom.receivers)
         assert pos.min() >= 0.2 * EXTENT[0]
         assert pos.max() <= 0.8 * EXTENT[0]
@@ -252,29 +266,28 @@ class TestGeometry:
 
     def test_clustered_loads_bundled_layout(self):
         spec = GeometrySpec(kind="clustered", n_sources=4, n_receivers=60)
-        geom = gen_geometry(spec, 0, EXTENT, 0.1)
+        geom = gen_geometry(spec, EXTENT, 0.1)
         assert geom.n_sources == 4
         assert geom.n_receivers == 60
         pos = np.asarray(geom.receivers)
         assert pos.min() >= 0.0 and pos.max() <= EXTENT[0]
         # the bundled layout is fixed, so a different seed changes nothing
-        geom2 = gen_geometry(spec, 99, EXTENT, 0.1)
+        geom2 = gen_geometry(replace(spec, seed=99), EXTENT, 0.1)
         np.testing.assert_array_equal(pos, np.asarray(geom2.receivers))
 
     def test_clustered_rejects_oversized_requests(self):
         spec = GeometrySpec(kind="clustered", n_sources=999, n_receivers=10)
         with pytest.raises(ConfigError, match="sources"):
-            gen_geometry(spec, 0, EXTENT, 0.1)
+            gen_geometry(spec, EXTENT, 0.1)
         spec = GeometrySpec(kind="clustered", n_sources=4, n_receivers=9999)
         with pytest.raises(ConfigError, match="receivers"):
-            gen_geometry(spec, 0, EXTENT, 0.1)
+            gen_geometry(spec, EXTENT, 0.1)
 
     def test_augment_preserves_originals_and_count(self):
         spec = GeometrySpec(kind="uniform", n_sources=5, n_receivers=10,
-                            augment_to=25)
-        base = gen_geometry(GeometrySpec(kind="uniform", n_sources=5,
-                                         n_receivers=10), 7, EXTENT, 0.1)
-        geom = gen_geometry(spec, 7, EXTENT, 0.1)
+                            seed=7, augment_to=25)
+        base = gen_geometry(replace(spec, augment_to=0), EXTENT, 0.1)
+        geom = gen_geometry(spec, EXTENT, 0.1)
         assert geom.n_sources == 25
         for orig, kept in zip(base.sources, geom.sources[:5]):
             assert orig.position == kept.position
@@ -284,8 +297,8 @@ class TestGeometry:
 
     def test_augment_jitter_scale_is_five_percent(self):
         spec = GeometrySpec(kind="uniform", n_sources=1, n_receivers=2,
-                            augment_to=401)
-        geom = gen_geometry(spec, 3, EXTENT, 0.1)
+                            seed=3, augment_to=401)
+        geom = gen_geometry(spec, EXTENT, 0.1)
         parent = np.array(geom.sources[0].position)
         deltas = np.array([s.position for s in geom.sources[1:]]) - parent
         # 800 jitter draws; std 5% of the domain width
@@ -298,7 +311,7 @@ class TestGeometry:
                         "receiver 0.2 0.8\n")
         spec = GeometrySpec(kind="from-file", n_sources=1, n_receivers=2,
                             file=str(path))
-        geom = gen_geometry(spec, 0, EXTENT, 0.1)
+        geom = gen_geometry(spec, EXTENT, 0.1)
         assert geom.sources[0].position == (250e3, 125e3)
         np.testing.assert_allclose(geom.receivers,
                                    [[50e3, 450e3], [100e3, 400e3]])
@@ -309,13 +322,13 @@ class TestGeometry:
         spec = GeometrySpec(kind="from-file", n_sources=1, n_receivers=1,
                             file=str(path))
         with pytest.raises(ConfigError, match="unknown kind"):
-            gen_geometry(spec, 0, EXTENT, 0.1)
+            gen_geometry(spec, EXTENT, 0.1)
         path.write_text("source 1.5 0.5\n")
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
-            gen_geometry(spec, 0, EXTENT, 0.1)
+            gen_geometry(spec, EXTENT, 0.1)
         path.write_text("source 0.5\n")
         with pytest.raises(ConfigError, match="expected"):
-            gen_geometry(spec, 0, EXTENT, 0.1)
+            gen_geometry(spec, EXTENT, 0.1)
 
 
 class TestTarget:
@@ -383,7 +396,6 @@ class TestPrepare:
         assert exp.setup_solves == 4 * n
         assert exp.lam > 0 and exp.nu > 0
         assert exp.h0_diag.shape == (cfg.nx * cfg.ny,)
-        assert exp.data.noise_level == cfg.sigma
 
     def test_explicit_regularizer_values_pass_through(self):
         exp = prepare_experiment(tiny_config(lam="2.5", nu="1e-9"))

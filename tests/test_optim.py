@@ -474,6 +474,25 @@ class TestConvergence:
             assert float(rec.extra) > 0.0
 
 
+    def test_gogn_measures_descent_with_the_total_gradient(self, monkeypatch):
+        # g0 is the gradient the loop evaluated, dotted with the step
+        prob = make_generic(seed=21)
+        twin = QuadraticProblem(prob.mats, prob.target)  # charges its own ledger
+        reg = make_reg()
+        seen = []
+
+        def recording(objective, m, p, f0, g0, policy):
+            report = twin.misfit_and_gradients(ModelGrid(m, NX, NY))
+            g = report.gradients.sum(axis=0) + reg.grad(m)
+            seen.append((g0, float(np.dot(g, p))))
+            return linesearch(objective, m, p, f0, g0, policy)
+        monkeypatch.setattr(optim, "linesearch", recording)
+        res = run_gogn(prob, reg, Budget(prob.ledger, 100), policy=CAP)
+        assert len(seen) == len(res.records) - 1 >= 5
+        for g0, expect in seen:
+            assert g0 == expect
+
+
 class TestAccountingAndBudget:
     def test_gogn_charges_two_solves_per_source_per_iteration(self):
         prob = make_generic(seed=3)
