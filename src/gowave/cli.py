@@ -105,10 +105,7 @@ def main(argv=None) -> int:
             print(f"{name}: {result.status} after {last.iter} iterations, "
                   f"{last.solves} solves, model error {last.model_error:.6g}")
         return 0 if ok else 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

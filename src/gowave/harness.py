@@ -67,7 +67,6 @@ class ExperimentConfig:
     boundary_width: int = 20
     boundary_strength: float = 0.25
     frequency: float = 0.1
-    amplitude: float = 1.0
     geometry: GeometrySpec = field(default_factory=GeometrySpec)
     target: TargetSpec = field(default_factory=TargetSpec)
     lam: str = "auto"           # "auto" or a float literal
@@ -92,28 +91,28 @@ class ExperimentConfig:
                     raise ConfigError(f"{section}.{key} must be non-negative")
                 if key in ("budget", "threads") and value < 1:
                     raise ConfigError(f"{section}.{key} must be positive")
-        if self.amplitude == 0.0:
-            raise ConfigError("source.amplitude must be non-zero: a silent source "
-                              "gives all-zero data")
         grid = self.sim_grid()
         try:
-            kept = grid.kept_field_bytes()
-        except OverflowError:  # the substep count itself is not finite
+            kept = float(grid.kept_field_bytes())
+        except OverflowError:  # the substep or byte count passes the float range
             kept = float("inf")
         if kept > KEPT_FIELD_LIMIT_BYTES:
             raise ConfigError(
                 f"one kept forward field would hold {kept / 1e9:.3g} GB, past the "
                 f"{KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit: reduce the grid, "
                 "nt or the substeps (dt * c0 / h)")
-        # the solves square h and dt, and nu = auto squares 5 h; a float
-        # power raises OverflowError where the product below is inf
+        # the solves square h and dt and divide by the squares, and nu = auto
+        # squares 5 h; a float power raises OverflowError on an inf product
         squared = [("h", self.h), ("dt", self.dt)]
         if self.nu == "auto":
             squared.append(("h", 5.0 * self.h))
         for key, value in squared:
-            if not np.isfinite(value * value):
-                raise ConfigError(f"grid.{key} = {_get(self, key)!r} is too large: "
-                                  f"the square of {value!r} overflows")
+            if not 0.0 < value * value < np.inf:
+                raise ConfigError(f"grid.{key} = {_get(self, key)!r} is out of range: "
+                                  f"the square of {value!r} is {value * value!r}")
+        if not self.frequency < 0.5 / self.dt:
+            raise ConfigError(f"source.frequency = {self.frequency!r} must lie below "
+                              f"the Nyquist frequency 0.5 / dt = {0.5 / self.dt!r}")
         if self.geometry.kind not in ("uniform", "clustered", "from-file"):
             raise ConfigError(f"unknown geometry kind {self.geometry.kind!r}")
         if self.geometry.kind == "from-file" and not self.geometry.file:
@@ -163,7 +162,7 @@ _TABLE = {
     "grid": {"nx": "nx", "ny": "ny", "h": "h", "c0": "c0", "dt": "dt",
              "nt": "nt", "boundary_width": "boundary_width",
              "boundary_strength": "boundary_strength"},
-    "source": {"frequency": "frequency", "amplitude": "amplitude"},
+    "source": {"frequency": "frequency"},
     "geometry": {"kind": "geometry.kind", "n_sources": "geometry.n_sources",
                  "n_receivers": "geometry.n_receivers",
                  "seed": "geometry.seed", "augment_to": "geometry.augment_to",
@@ -209,6 +208,15 @@ def load_config(path) -> ExperimentConfig:
         if section not in _TABLE:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
+            if (section, key) == ("source", "amplitude"):  # retired
+                try:
+                    if float(raw) == 1.0:  # as older manifests carry it
+                        continue
+                except ValueError:
+                    pass
+                raise ConfigError(f"{path}: source.amplitude = {raw} is retired: each "
+                                  "trace is divided by its own norm, so the source "
+                                  "scale cancels out of the misfit; only 1.0 loads")
             if key not in _TABLE[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             attr = _TABLE[section][key]
@@ -267,8 +275,7 @@ def _bundled_layout():
     return _parse_layout(text, "clustered_layout.txt")
 
 
-def gen_geometry(spec: GeometrySpec, extent: tuple, frequency: float,
-                 amplitude: float = 1.0) -> Geometry:
+def gen_geometry(spec: GeometrySpec, extent: tuple, frequency: float) -> Geometry:
     """Sample or load an acquisition geometry, drawing from spec.seed.
 
     uniform: sources then receivers i.i.d. over the inner square spanning
@@ -312,8 +319,7 @@ def gen_geometry(spec: GeometrySpec, extent: tuple, frequency: float,
                 raise RuntimeError("could not place a jittered source inside "
                                    "the domain after 100 attempts")
         src = np.vstack([src, extra])
-    sources = [SourceSpec(position=(float(p[0]), float(p[1])),
-                          frequency=frequency, amplitude=amplitude)
+    sources = [SourceSpec(position=(float(p[0]), float(p[1])), frequency=frequency)
                for p in src]
     return Geometry(sources=sources, receivers=rec)
 
@@ -410,8 +416,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
     cfg.validate()
     grid = cfg.sim_grid()
     try:
-        geom = gen_geometry(cfg.geometry, grid.extent, cfg.frequency,
-                            cfg.amplitude)
+        geom = gen_geometry(cfg.geometry, grid.extent, cfg.frequency)
         target = gen_target(cfg.target, cfg.nx, cfg.ny)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

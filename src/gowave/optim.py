@@ -456,7 +456,8 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     from the last GNCG_RETAIN_PAIRS (v, Hv) pairs harvested in earlier outer
     iterations; within one CG solve it stays fixed, keeping it a linear
     operator as CG requires. Its base case is a GNCG_RICHARDSON_ITERS-sweep
-    Richardson solve with the fixed curvature model.
+    Richardson solve with the fixed curvature model. The trace's ``extra``
+    counts Hessian products, also one that meets non-positive curvature.
     """
     run = _Run("gncg", problem, reg, budget,
                policy or LinesearchPolicy(initial_step_rule="unit"))
@@ -473,20 +474,20 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
         d = z
         rz = float(np.dot(r, z))
         bnorm = float(np.linalg.norm(b))
-        inner = 0
-        while inner < GNCG_CG_MAXITER and not budget.exhausted():
+        products = 0  # Hessian products paid for, admitted or not
+        while products < GNCG_CG_MAXITER and not budget.exhausted():
             hd = problem.gn_hessian_vec(run.model(run.values), d,
                                         fields=report.fields) + reg.hess_vec(d)
+            products += 1
             dhd = float(np.dot(d, hd))
             if dhd <= 0.0:
-                if inner == 0:
+                if products == 1:
                     x = z  # fall back to the preconditioned gradient
                 break
             admit_curvature_pair(harvested, d.copy(), hd)
             alpha_cg = rz / dhd
             x = x + alpha_cg * d
             r = r - alpha_cg * hd
-            inner += 1
             if float(np.linalg.norm(r)) <= GNCG_CG_TOL * bnorm:
                 break
             z_new = precond(r)
@@ -498,7 +499,7 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
         g0 = float(np.dot(g, x))
         if g0 >= 0.0:
             raise _Stop("stalled")
-        return x, g0, str(inner)
+        return x, g0, str(products)
 
     # gradient evaluations keep their wavefields for the inner CG solves
     return run.drive(direction, keep_fields=True)

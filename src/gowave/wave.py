@@ -151,7 +151,6 @@ class SourceSpec:
 
     position: tuple[float, float]
     frequency: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.frequency <= 0:
@@ -290,12 +289,10 @@ def _damping_profile(grid: SimGrid) -> np.ndarray:
     # depth/bw runs from 1 at the outermost padded cell to 1/bw just outside
     # the interior; corners take the deeper of the two directions.
     ramp = grid.boundary_strength * (np.arange(bw, 0, -1) / bw) ** 2
-    depth_x = np.zeros(nxp)
-    depth_x[:bw] = ramp
-    depth_x[-bw:] = ramp[::-1]
-    depth_y = np.zeros(nyp)
-    depth_y[:bw] = ramp
-    depth_y[-bw:] = ramp[::-1]
+    depth_x, depth_y = np.zeros(nxp), np.zeros(nyp)
+    for depth in (depth_x, depth_y):
+        depth[:bw] = ramp
+        depth[-bw:] = ramp[::-1]
     return np.maximum.outer(depth_x, depth_y)
 
 
@@ -451,9 +448,8 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     """
     ws = _Workspace(model, grid, receivers)
     cell = ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0]
-    # 12 h^2 f: the point source f = amplitude ricker / h^2 in sigma units
-    f = 12.0 * source.amplitude * ricker(ws.dt * np.arange(ws.n_steps),
-                                         source.frequency, source.t0)
+    # 12 h^2 f: the point source f = ricker / h^2 in sigma units
+    f = 12.0 * ricker(ws.dt * np.arange(ws.n_steps), source.frequency, source.t0)
     scatter = _kept_rows((ws.n_steps, ws.shape[0], ws.width)) if keep_field else None
 
     def excite(n, p, u):

@@ -140,10 +140,14 @@ def test_inadmissible_physics_exits_2_before_any_solve(tiny_cfg_file, tmp_path,
     out = tmp_path / "o"
     base = tiny_cfg_file.read_text()
     bad = tmp_path / "bad.cfg"
+    # manifests no longer write the retired amplitude; only 1.0 would load
+    retired = [("[source]", f"[source]\namplitude = {raw}")
+               for raw in ("0.0", "-0.0", "-1.0", "2.0", "1e300")]
     # dt = 100000 would keep 4.4 GB per field; it is only validated
-    for old, new in (("amplitude = 1.0", "amplitude = 0.0"),
-                     ("boundary_strength = 0.25", "boundary_strength = -5.0"),
-                     ("dt = 1.0", "dt = 100000.0")):
+    for old, new in retired + [("boundary_strength = 0.25", "boundary_strength = -5.0"),
+                               ("dt = 1.0", "dt = 100000.0"),
+                               ("dt = 1.0", "dt = 1e-300"),
+                               ("frequency = 0.1", "frequency = 1e300")]:
         assert old in base
         bad.write_text(base.replace(old, new))
         for cmd in ("compare", "make-data"):

