@@ -11,6 +11,7 @@ into any output.
 """
 
 import configparser
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import fileio
 from .ledger import SolveLedger
-from .optim import (Budget, LinesearchPolicy, run_gncg, run_gogn, run_lbfgs,
-                    run_nlcg)
+from .optim import (Budget, LinesearchPolicy, curvature_factor_nbytes, run_gncg,
+                    run_gogn, run_lbfgs, run_nlcg)
 from .problem import (DataSet, FwiProblem, Geometry, make_noisy_data,
                       receiver_weights)
 from .regularizer import build as build_regularizer
@@ -31,7 +32,8 @@ from .wave import (ModelGrid, SimGrid, SourceSpec, cfl_substeps,
 OPTIMIZER_NAMES = ("gogn", "nlcg", "lbfgs", "gncg")
 
 # Largest kept forward field a config may imply at the start model m = 0:
-# gncg holds one per source and every other method one at a time.
+# gncg holds one per source and every other method one at a time. It also
+# bounds the curvature factor that nlcg and lbfgs build.
 KEPT_FIELD_LIMIT_BYTES = 10**9
 
 
@@ -76,9 +78,6 @@ class ExperimentConfig:
     optimizers: tuple = OPTIMIZER_NAMES
     budget: int = 100
     threads: int = 1
-    ls_max_iters: int = 10
-    ls_quad_interp_phase: int = 5
-    ls_armijo_c1: float = 0.0
     ls_step_cap: float = 0.05
 
     def validate(self):
@@ -113,6 +112,13 @@ class ExperimentConfig:
         if not self.frequency < 0.5 / self.dt:
             raise ConfigError(f"source.frequency = {self.frequency!r} must lie below "
                               f"the Nyquist frequency 0.5 / dt = {0.5 / self.dt!r}")
+        # a non-positive frequency is SourceSpec's to reject
+        window = (self.nt - 1) * self.dt
+        if self.frequency > 0.0 and not window > 1.5 / self.frequency:
+            raise ConfigError(
+                f"grid.nt and grid.dt record (nt - 1) * dt = {window!r} s, which ends "
+                f"before the source wavelet peaks at 1.5 / frequency = "
+                f"{1.5 / self.frequency!r} s")
         if self.geometry.kind not in ("uniform", "clustered", "from-file"):
             raise ConfigError(f"unknown geometry kind {self.geometry.kind!r}")
         if self.geometry.kind == "from-file" and not self.geometry.file:
@@ -132,6 +138,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown optimizers {unknown}")
         if len(set(self.optimizers)) != len(self.optimizers):
             raise ConfigError(f"repeated optimizers in {list(self.optimizers)}")
+        factored = [n for n in self.optimizers if n in ("nlcg", "lbfgs")]
+        factor = curvature_factor_nbytes(self.nx, self.ny)
+        if factored and factor > KEPT_FIELD_LIMIT_BYTES:
+            raise ConfigError(
+                f"{' and '.join(factored)} would factor a {factor / 1e9:.3g} GB "
+                f"curvature model, past the {KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB "
+                "limit: reduce the grid or run gogn and gncg only")
         try:
             for name in self.optimizers:
                 _policy(self, name)
@@ -173,9 +186,17 @@ _TABLE = {
     "data": {"sigma": "sigma", "seed": "noise_seed"},
     "run": {"optimizers": "optimizers", "budget": "budget",
             "threads": "threads"},
-    "linesearch": {"max_iters": "ls_max_iters",
-                   "quad_interp_phase": "ls_quad_interp_phase",
-                   "armijo_c1": "ls_armijo_c1", "step_cap": "ls_step_cap"},
+    "linesearch": {"step_cap": "ls_step_cap"},
+}
+
+# Keys that older configs and manifests carry, with their old default and
+# why they are gone; one loads, and is ignored, only at exactly that default.
+_RETIRED = {
+    ("source", "amplitude"): (1.0, "each trace is divided by its own norm, so "
+                              "the source scale cancels out of the misfit"),
+    ("linesearch", "max_iters"): (10, "every linesearch makes at most 10 trials"),
+    ("linesearch", "quad_interp_phase"): (5, "every linesearch interpolates 5 trials"),
+    ("linesearch", "armijo_c1"): (0.0, "every linesearch accepts strict decrease"),
 }
 
 
@@ -208,15 +229,15 @@ def load_config(path) -> ExperimentConfig:
         if section not in _TABLE:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if (section, key) == ("source", "amplitude"):  # retired
+            if (section, key) in _RETIRED:
+                old, reason = _RETIRED[section, key]
                 try:
-                    if float(raw) == 1.0:  # as older manifests carry it
+                    if type(old)(raw) == old:
                         continue
                 except ValueError:
                     pass
-                raise ConfigError(f"{path}: source.amplitude = {raw} is retired: each "
-                                  "trace is divided by its own norm, so the source "
-                                  "scale cancels out of the misfit; only 1.0 loads")
+                raise ConfigError(f"{path}: {section}.{key} = {raw} is retired: "
+                                  f"{reason}; only {old!r} loads")
             if key not in _TABLE[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             attr = _TABLE[section][key]
@@ -448,10 +469,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
 
 def _policy(cfg: ExperimentConfig, optimizer: str) -> LinesearchPolicy:
     rule = "unit" if optimizer == "gncg" else "cap"
-    return LinesearchPolicy(max_iters=cfg.ls_max_iters,
-                            quad_interp_phase=cfg.ls_quad_interp_phase,
-                            armijo_c1=cfg.ls_armijo_c1,
-                            initial_step_rule=rule, step_cap=cfg.ls_step_cap)
+    return LinesearchPolicy(initial_step_rule=rule, step_cap=cfg.ls_step_cap)
 
 
 def run_one(exp: Experiment, name: str):
@@ -515,16 +533,29 @@ def _derived_lines(exp: Experiment) -> list:
     ]
 
 
+def _clear_run_dir(out: Path) -> None:
+    """Delete every file a run writes, the manifest first, so that a
+    directory never shows another run's artifacts; other files stay."""
+    (out / "manifest.cfg").unlink(missing_ok=True)
+    names = ["target.modl", "target.pgm", "geometry.txt"] + [
+        f"{name}_{suffix}" for name in OPTIMIZER_NAMES
+        for suffix in ("trace.csv", "final.modl", "final.pgm")]
+    for path in [out / name for name in names] + list(out.glob("obs_src*.seis")):
+        path.unlink(missing_ok=True)
+
+
 def _write_inputs(out: Path, exp: Experiment, tail: list) -> None:
-    """Write the target, the geometry and a manifest of the config, the
-    derived values and `tail`."""
+    """Write the target, the geometry and, last, a manifest of the config,
+    the derived values and `tail`; the manifest appears only complete."""
     fileio.write_model(out / "target.modl", exp.target.model)
     fileio.write_pgm(out / "target.pgm", exp.target.model.as_2d(),
                      exp.target.cap)
     (out / "geometry.txt").write_text(
         "\n".join(_geometry_lines(exp.geom, exp.grid.extent)) + "\n")
     lines = config_lines(exp.cfg) + [""] + _derived_lines(exp) + tail
-    (out / "manifest.cfg").write_text("\n".join(lines) + "\n")
+    partial = out / "manifest.cfg.partial"
+    partial.write_text("\n".join(lines) + "\n")
+    os.replace(partial, out / "manifest.cfg")
 
 
 def write_data_dir(cfg: ExperimentConfig, out_dir) -> Experiment:
@@ -532,6 +563,7 @@ def write_data_dir(cfg: ExperimentConfig, out_dir) -> Experiment:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     exp = prepare_experiment(cfg)
+    _clear_run_dir(out)
     for i, traces in enumerate(exp.data.observed):
         fileio.write_traces(out / f"obs_src{i:03d}.seis", traces)
     _write_inputs(out, exp, [])
@@ -548,6 +580,7 @@ def run_comparison(cfg: ExperimentConfig, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     exp = prepare_experiment(cfg)
+    _clear_run_dir(out)
 
     def attempt(name):
         try:

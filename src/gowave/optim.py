@@ -39,28 +39,21 @@ GNCG_CG_MAXITER = 5          # inner CG iterations (Hessian products) per step
 GNCG_RICHARDSON_ITERS = 300  # sweeps of the preconditioner's base solve
 GNCG_RETAIN_PAIRS = 20       # harvested (v, Hv) pairs kept by gncg
 CURVATURE_PAIR_TOL = 1e-10   # least cosine of (s, y) for an admitted pair
+LS_MAX_TRIALS = 10           # objective evaluations per linesearch
+LS_INTERP_TRIALS = 5         # interpolated trials after the initial one
 
 
 @dataclass
 class LinesearchPolicy:
-    """Shared step-length protocol: one initial trial, a quadratic
-    interpolation phase, then plain halving; accept on strict decrease."""
+    """The initial trial of the shared step-length protocol; the trials
+    after it are fixed (see linesearch)."""
 
-    max_iters: int = 10
-    quad_interp_phase: int = 5
-    armijo_c1: float = 0.0
     initial_step_rule: str = "cap"  # "cap": alpha0 = step_cap/||p||_inf, or "unit"
     step_cap: float = 0.05
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("need at least one linesearch evaluation")
         if not self.step_cap > 0.0:
             raise ValueError("step_cap must be positive")
-        if not 0.0 <= self.armijo_c1 < 1.0:
-            raise ValueError("armijo_c1 must lie in [0, 1)")
-        if self.quad_interp_phase > self.max_iters:
-            raise ValueError("interpolation phase cannot exceed max_iters")
         if self.initial_step_rule not in ("cap", "unit"):
             raise ValueError(f"unknown initial step rule {self.initial_step_rule!r}")
 
@@ -118,22 +111,22 @@ def linesearch(objective, m, p, f0: float, g0: float, policy: LinesearchPolicy):
     """Find a step along p that strictly decreases the objective.
 
     Returns (alpha, m_new, f_new, evals); alpha = 0.0 and m_new = None when
-    no trial decreased the objective (the caller should stop). Trials: the
-    rule-based initial step, then up to quad_interp_phase steps placed at
-    the minimizer of the quadratic through (0, f0, g0) and the latest trial
-    (clamped to [0.1, 0.9] of it), then halving.
+    none of LS_MAX_TRIALS trials decreased the objective (the caller should
+    stop). Trials: the policy's initial step, then LS_INTERP_TRIALS steps
+    placed at the minimizer of the quadratic through (0, f0, g0) and the
+    latest trial (clamped to [0.1, 0.9] of it), then halving.
     """
     if g0 >= 0:
         raise ValueError(f"directional derivative {g0:.3e} is not a descent direction")
     alpha = policy.initial_alpha(p)
     evals = 0
-    while evals < policy.max_iters:
+    while evals < LS_MAX_TRIALS:
         trial = m + alpha * p
         f_t = objective(trial)
         evals += 1
-        if f_t < f0 + policy.armijo_c1 * alpha * g0:
+        if f_t < f0:
             return alpha, trial, f_t, evals
-        if evals <= policy.quad_interp_phase:
+        if evals <= LS_INTERP_TRIALS:
             # minimizer of the interpolating parabola; the denominator is
             # positive whenever the trial failed to decrease
             denom = f_t - f0 - g0 * alpha
@@ -203,13 +196,22 @@ def block_cholesky(bands: dict, width: int) -> list:
     return factor
 
 
+def curvature_factor_nbytes(nx: int, ny: int) -> int:
+    """Bytes of CurvatureModel's factor on an nx x ny grid: block_cholesky
+    stores 8 (sum n_k^2 + sum n_k n_k+1) bytes for its blocks of n_k <= 2 ny
+    rows, which is 32 ny^2 (nx - 1) for even nx."""
+    width = 2 * ny
+    full, last = divmod(nx * ny, width)  # full >= 1 for nx >= 2
+    return 8 * ((2 * full - 1) * width * width + last * (last + width))
+
+
 class CurvatureModel:
     """Fixed operator M = diag(h0) + D^T D with exact solves and a damped
     Richardson sweep, shared by the three baseline optimizers.
 
     In the flat (nx, ny) layout D^T D reaches two grid rows either way, so M
     is block tridiagonal in blocks of two grid rows; its block Cholesky
-    factor, 32 nx ny^2 bytes, is built on the first ``solve``, so gncg,
+    factor (curvature_factor_nbytes) is built on the first ``solve``, so gncg,
     which only applies M, never factors it. ``harness.run_one`` builds a
     fresh model for each run, so one run owns it, also when runs execute on
     several threads.

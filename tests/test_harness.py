@@ -44,8 +44,7 @@ class TestConfig:
             geometry=GeometrySpec(kind="clustered", n_sources=5,
                                   n_receivers=120, seed=3, augment_to=9),
             target=TargetSpec(kind="disks", cap=0.03),
-            lam="0.5", optimizers=("gogn", "gncg"), budget=42,
-            ls_armijo_c1=1e-4)
+            lam="0.5", optimizers=("gogn", "gncg"), budget=42)
         path = tmp_path / "exp.cfg"
         path.write_text("\n".join(config_lines(cfg)) + "\n")
         assert load_config(path) == cfg
@@ -99,12 +98,6 @@ class TestConfig:
             ExperimentConfig(lam="-2").validate()
         with pytest.raises(ConfigError, match="step_cap"):
             ExperimentConfig(ls_step_cap=0.0).validate()
-        with pytest.raises(ConfigError, match="interpolation phase"):
-            ExperimentConfig(ls_max_iters=3,
-                             ls_quad_interp_phase=5).validate()
-        for c1 in (-0.1, 1.0):
-            with pytest.raises(ConfigError, match="armijo_c1"):
-                ExperimentConfig(ls_armijo_c1=c1).validate()
         with pytest.raises(ConfigError, match="repeated optimizers"):
             ExperimentConfig(optimizers=("gogn", "gogn")).validate()
 
@@ -190,17 +183,59 @@ class TestConfig:
         # desk records at 0.1 / dt; the bound is strict
         tiny_config(frequency=0.49).validate()
 
+    def test_recording_must_reach_the_wavelet_peak(self, monkeypatch):
+        # dt = 1e-160 recorded 49e-160 s against the Ricker delay of 15 s:
+        # every clean trace was zero and gogn "converged" after 0 iterations
+        monkeypatch.setattr(harness, "forward_solve",
+                            lambda *args, **kw: pytest.fail("a solve ran"))
+        cfg = tiny_config(optimizers=("gogn",), dt=1e-160)
+        with pytest.raises(ConfigError, match=re.escape(
+                "ends before the source wavelet peaks at 1.5 / frequency = 15.0 s")):
+            prepare_experiment(cfg)
+        # the bound is strict: 16 samples record exactly 15 s
+        with pytest.raises(ConfigError, match="wavelet peaks"):
+            tiny_config(nt=16).validate()
+        tiny_config(nt=17).validate()
+
+    def test_curvature_factor_is_bounded_before_any_solve(self, monkeypatch):
+        # nlcg's factor on 64 x 1024 would hold 32 * 1024^2 * 63 B; computed,
+        # never run
+        monkeypatch.setattr(harness, "forward_solve",
+                            lambda *args, **kw: pytest.fail("a solve ran"))
+        cfg = ExperimentConfig(nx=64, ny=1024, optimizers=("gogn", "nlcg"))
+        with pytest.raises(ConfigError, match=re.escape(
+                "nlcg would factor a 2.11 GB curvature model, past the 1 GB")):
+            prepare_experiment(cfg)
+        # gogn builds no factor, and 1024 x 64 factors 134 MB: only validated
+        ExperimentConfig(nx=64, ny=1024, optimizers=("gogn",)).validate()
+        ExperimentConfig(nx=1024, ny=64, optimizers=("nlcg",)).validate()
+
     def test_retired_amplitude_loads_only_at_one(self, tmp_path):
+        # every retired key loads, and is ignored, only at its old default:
+        # (values an older manifest may carry, values that exit 2)
+        cases = {
+            ("source", "amplitude"): (("1.0", "1", "1e0"),
+                                      ("0.0", "-0.0", "-1.0", "2.0", "1e300",
+                                       "nan", "loud")),
+            ("linesearch", "max_iters"): (("10",), ("3", "10.0", "nan")),
+            ("linesearch", "quad_interp_phase"): (("5",), ("0",)),
+            ("linesearch", "armijo_c1"): (("0.0", "0"), ("1e-4", "0.5")),
+        }
+        assert cases.keys() == harness._RETIRED.keys()
         path = tmp_path / "old.cfg"
-        for raw in ("1.0", "1", "1e0"):
-            path.write_text(f"[source]\nfrequency = 0.1\namplitude = {raw}\n")
-            cfg = load_config(path)
-            assert cfg == ExperimentConfig()
-            assert not any("amplitude" in line for line in config_lines(cfg))
-        for raw in ("0.0", "-0.0", "-1.0", "2.0", "1e300", "nan", "loud"):
-            path.write_text(f"[source]\namplitude = {raw}\n")
-            with pytest.raises(ConfigError, match=r"source\.amplitude .*retired"):
-                load_config(path)
+        default = "\n".join(config_lines(ExperimentConfig())) + "\n"
+        for (section, key), (loads, exits) in cases.items():
+            for raw in loads:
+                path.write_text(default.replace(f"[{section}]\n",
+                                                f"[{section}]\n{key} = {raw}\n"))
+                cfg = load_config(path)
+                assert cfg == ExperimentConfig()
+                assert not any(line.startswith(f"{key} =")
+                               for line in config_lines(cfg))
+            for raw in exits:
+                path.write_text(f"[{section}]\n{key} = {raw}\n")
+                with pytest.raises(ConfigError, match=rf"{section}\.{key} .*retired"):
+                    load_config(path)
 
     def test_kept_field_size_is_bounded(self):
         # desk's kept field: 149 steps of 104 x 108 band rows, 13.4 MB
@@ -234,9 +269,11 @@ class TestConfig:
 def random_config(rng):
     """A valid config whose every key is drawn at random. A draw whose kept
     forward field would pass the size bound, whose h or dt squares outside
-    the float range, or whose frequency is not below the Nyquist frequency
-    0.5 / dt, is made again."""
-    redraw = ("kept forward field", "out of range", "Nyquist frequency")
+    the float range, whose frequency is not below the Nyquist frequency
+    0.5 / dt, or whose recording ends before the wavelet peaks, is made
+    again."""
+    redraw = ("kept forward field", "out of range", "Nyquist frequency",
+              "wavelet peaks")
     while True:
         cfg = _random_draw(rng)
         try:
@@ -256,7 +293,6 @@ def _random_draw(rng):
 
     geo_kind = rng.choice(["uniform", "clustered", "from-file"])
     tgt_kind = rng.choice(["face", "disks", "from-file"])
-    max_iters = rng.randint(1, 20)
     return ExperimentConfig(
         nx=rng.randint(8, 300), ny=rng.randint(8, 300), h=num(), c0=num(),
         dt=num(), nt=rng.randint(2, 999), boundary_width=rng.randint(0, 40),
@@ -274,9 +310,7 @@ def _random_draw(rng):
         optimizers=tuple(rng.sample(harness.OPTIMIZER_NAMES,
                                     rng.randint(1, 4))),
         budget=rng.randint(1, 1000), threads=rng.randint(1, 8),
-        ls_max_iters=max_iters,
-        ls_quad_interp_phase=rng.randint(0, max_iters),
-        ls_armijo_c1=rng.uniform(0.0, 0.999), ls_step_cap=num())
+        ls_step_cap=num())
 
 
 class TestGeometry:
@@ -495,6 +529,10 @@ class TestRunComparison:
                 assert overshoot <= recs[-1].solves - recs[-2].solves
 
     def test_failed_optimizer_recorded_others_run(self, tmp_path, monkeypatch):
+        cfg = tiny_config(optimizers=("nlcg", "gogn"))
+        out = tmp_path / "out"
+        run_comparison(cfg, out)  # an earlier run's nlcg files must not stay
+        assert (out / "nlcg_trace.csv").exists()
         real_run_one = harness.run_one
 
         def sabotaged(exp, name):
@@ -503,16 +541,29 @@ class TestRunComparison:
             return real_run_one(exp, name)
 
         monkeypatch.setattr(harness, "run_one", sabotaged)
-        cfg = tiny_config(optimizers=("nlcg", "gogn"))
-        out = tmp_path / "out"
         results = run_comparison(cfg, out)
         assert results["nlcg"] is None
         assert results["gogn"] is not None
         manifest = (out / "manifest.cfg").read_text()
         assert "nlcg_status = failed (RuntimeError: boom)" in manifest
         assert "gogn_status = " in manifest
-        assert not (out / "nlcg_trace.csv").exists()
+        assert not list(out.glob("nlcg_*"))
         assert (out / "gogn_trace.csv").exists()
+
+    def test_rerun_leaves_no_artifact_of_an_earlier_run(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
+        harness.write_data_dir(tiny_config(), out)
+        assert (out / "obs_src000.seis").exists()
+        run_comparison(tiny_config(), out)
+        assert (out / "gncg_trace.csv").exists()
+        run_comparison(tiny_config(optimizers=("gogn",)), out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "geometry.txt", "gogn_final.modl", "gogn_final.pgm",
+            "gogn_trace.csv", "manifest.cfg", "notes.txt", "target.modl",
+            "target.pgm"]
+        assert (out / "notes.txt").read_text() == "mine\n"
 
     def test_threaded_comparison_completes(self, tmp_path):
         cfg = tiny_config(optimizers=("gogn", "nlcg"), threads=2)
