@@ -25,7 +25,7 @@ from .optim import (Budget, LinesearchPolicy, curvature_factor_nbytes, run_gncg,
                     run_gogn, run_lbfgs, run_nlcg)
 from .problem import (DataSet, FwiProblem, Geometry, make_noisy_data,
                       receiver_weights)
-from .regularizer import build as build_regularizer
+from .regularizer import build as build_regularizer, check_spectrum
 from .wave import (ModelGrid, SimGrid, SourceSpec, cfl_substeps,
                    forward_solve)
 
@@ -146,8 +146,7 @@ class ExperimentConfig:
                 f"curvature model, past the {KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB "
                 "limit: reduce the grid or run gogn and gncg only")
         try:
-            for name in self.optimizers:
-                _policy(self, name)
+            LinesearchPolicy(step_cap=self.ls_step_cap)
         except ValueError as exc:
             raise ConfigError(f"linesearch: {exc}") from None
         for key in ("lam", "nu"):
@@ -158,7 +157,17 @@ class ExperimentConfig:
             except ValueError:
                 raise ConfigError(f"regularizer.{key} must be 'auto' or a "
                                   "number") from None
+        if self.lam != "auto":
+            try:
+                check_spectrum(float(self.lam), self.nu_value(), self.h)
+            except ValueError as exc:
+                raise ConfigError(f"regularizer.lam = {self.lam} and nu = {self.nu} "
+                                  f"are out of range: {exc}") from None
         return self
+
+    def nu_value(self) -> float:
+        """nu, whose auto value is 1 / (5 h)^2."""
+        return 1.0 / (5.0 * self.h) ** 2 if self.nu == "auto" else float(self.nu)
 
     def sim_grid(self) -> SimGrid:
         try:
@@ -454,22 +463,22 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
     m0 = ModelGrid(np.zeros(cfg.nx * cfg.ny), cfg.nx, cfg.ny)
     h0_diag = setup_problem.diag_gn_estimate(m0)
 
-    nu = 1.0 / (5.0 * cfg.h) ** 2 if cfg.nu == "auto" else float(cfg.nu)
+    nu = cfg.nu_value()
     if cfg.lam == "auto":
         # 0.3 balances smoothing against the peak misfit curvature so that
         # desk-scale budgets run out mid-descent, not at an over-smoothed
         # stationary point.
         lam = float(0.3 * np.sqrt(np.max(h0_diag)) / (nu + 8.0 / cfg.h**2))
+        try:
+            check_spectrum(lam, nu, cfg.h)
+        except ValueError as exc:
+            raise ConfigError(f"[regularizer] lam = auto calibrated to {lam!r}, "
+                              f"which is out of range: {exc}") from None
     else:
         lam = float(cfg.lam)
     return Experiment(cfg=cfg, grid=grid, geom=geom, target=target, data=data,
                       h0_diag=h0_diag, lam=lam, nu=nu,
                       setup_solves=setup_ledger.total)
-
-
-def _policy(cfg: ExperimentConfig, optimizer: str) -> LinesearchPolicy:
-    rule = "unit" if optimizer == "gncg" else "cap"
-    return LinesearchPolicy(initial_step_rule=rule, step_cap=cfg.ls_step_cap)
 
 
 def run_one(exp: Experiment, name: str):
@@ -479,16 +488,15 @@ def run_one(exp: Experiment, name: str):
     problem = exp.problem()
     reg = exp.regularizer()
     budget = Budget(problem.ledger, exp.cfg.budget)
-    policy = _policy(exp.cfg, name)
     if name == "gogn":
-        result = run_gogn(problem, reg, budget, policy=policy)
+        result = run_gogn(problem, reg, budget, exp.cfg.ls_step_cap)
         _check_gradient_only_accounting(result, problem.n_sources)
     elif name == "nlcg":
-        result = run_nlcg(problem, reg, exp.h0_diag, budget, policy=policy)
+        result = run_nlcg(problem, reg, exp.h0_diag, budget, exp.cfg.ls_step_cap)
     elif name == "lbfgs":
-        result = run_lbfgs(problem, reg, exp.h0_diag, budget, policy=policy)
+        result = run_lbfgs(problem, reg, exp.h0_diag, budget, exp.cfg.ls_step_cap)
     else:
-        result = run_gncg(problem, reg, exp.h0_diag, budget, policy=policy)
+        result = run_gncg(problem, reg, exp.h0_diag, budget)
     return result, problem.ledger
 
 

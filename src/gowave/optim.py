@@ -15,10 +15,12 @@ Four methods are implemented on the same objective F(m) = Phi(m) + R(m):
 
 The four differ only in how the gradient becomes a direction. Each is a
 direction rule over one loop, _Run.drive: evaluate the gradient, record,
-ask the rule for a step, linesearch along it, repeat. All runs charge PDE
-work to a Budget wrapping the problem's solve ledger; an iteration may
-start only while the budget is unspent, so at most one iteration's cost
-overshoots. Accepted steps must strictly decrease F.
+ask the rule for a step, linesearch along it, repeat. The loop, not the
+rule, tests the step for descent: a direction with g.p >= 0 ends the run
+"stalled" before any trial. All runs charge PDE work to a Budget wrapping
+the problem's solve ledger; an iteration may start only while the budget
+is unspent, so at most one iteration's cost overshoots. Accepted steps
+must strictly decrease F.
 """
 
 from __future__ import annotations
@@ -304,14 +306,6 @@ def two_loop_apply(pairs, base_apply, grad: np.ndarray) -> np.ndarray:
     return z
 
 
-class _Stop(Exception):
-    """Raised by a direction rule to end the run with `status`."""
-
-    def __init__(self, status: str):
-        super().__init__(status)
-        self.status = status
-
-
 class _Run:
     """State of one optimizer run and the loop shared by every driver."""
 
@@ -354,8 +348,8 @@ class _Run:
 
     def drive(self, direction, keep_fields=False) -> RunResult:
         """Iterate: evaluate, record, ask `direction(g, report)` for the
-        step (p, g.p, extra), linesearch along it, until the budget is
-        spent, the gradient vanishes, the rule raises _Stop or no trial
+        step (p, extra), linesearch along it, until the budget is spent,
+        the gradient vanishes, p is not a descent direction or no trial
         decreases F."""
         f, g, report = self.eval_fg(self.values, keep_fields)
         gnorm = float(np.linalg.norm(g))
@@ -365,10 +359,10 @@ class _Run:
             if gnorm == 0.0:
                 self.status = "converged"
                 break
-            try:
-                p, g0, extra = direction(g, report)
-            except _Stop as stop:
-                self.status = stop.status
+            p, extra = direction(g, report)
+            g0 = float(np.dot(g, p))
+            if g0 >= 0.0:
+                self.status = "stalled"
                 break
             # free gncg's kept fields before the linesearch and next sweep
             report = None
@@ -386,7 +380,7 @@ class _Run:
                          status=self.status, m_final=self.values)
 
 
-def run_nlcg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
+def run_nlcg(problem, reg, h0_diag, budget, step_cap) -> RunResult:
     """Preconditioned Polak-Ribiere+ nonlinear conjugate gradient.
 
     The preconditioner solves (diag(h0) + D^T D) z = grad F exactly through
@@ -394,8 +388,7 @@ def run_nlcg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     and the direction is restarted to preconditioned steepest descent
     whenever it fails to be a descent direction.
     """
-    run = _Run("nlcg", problem, reg, budget,
-               policy or LinesearchPolicy(initial_step_rule="cap"))
+    run = _Run("nlcg", problem, reg, budget, LinesearchPolicy(step_cap=step_cap))
     curv = CurvatureModel(h0_diag, reg)
     prev = None  # (p, g, z) of the previous direction
 
@@ -412,12 +405,12 @@ def run_nlcg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
             if float(np.dot(p, g)) >= 0.0:
                 p = -z  # restart
         prev = (p, g, z)
-        return p, float(np.dot(g, p)), ""
+        return p, ""
 
     return run.drive(direction)
 
 
-def run_lbfgs(problem, reg, h0_diag, budget, policy=None) -> RunResult:
+def run_lbfgs(problem, reg, h0_diag, budget, step_cap) -> RunResult:
     """L-BFGS with curvature-model initialization and direction smoothing.
 
     The two-loop recursion is seeded with exact solves of diag(h0) + D^T D.
@@ -427,8 +420,7 @@ def run_lbfgs(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     iteration in favor of smoothed steepest descent. The (s, y) pair of a
     step is admitted when the next direction is asked for.
     """
-    run = _Run("lbfgs", problem, reg, budget,
-               policy or LinesearchPolicy(initial_step_rule="cap"))
+    run = _Run("lbfgs", problem, reg, budget, LinesearchPolicy(step_cap=step_cap))
     curv = CurvatureModel(h0_diag, reg)
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1/(y^T s))
     last = None  # (values, g) the previous direction started from
@@ -439,16 +431,14 @@ def run_lbfgs(problem, reg, h0_diag, budget, policy=None) -> RunResult:
             admit_curvature_pair(pairs, run.values - last[0], g - last[1])
         last = (run.values, g)
         p = -reg.mu * reg.solve_normal(two_loop_apply(pairs, curv.solve, g))
-        g0 = float(np.dot(g, p))
-        if g0 >= 0.0:
+        if float(np.dot(g, p)) >= 0.0:
             p = -reg.mu * reg.solve_normal(g)
-            g0 = float(np.dot(g, p))
-        return p, g0, ""
+        return p, ""
 
     return run.drive(direction)
 
 
-def run_gncg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
+def run_gncg(problem, reg, h0_diag, budget) -> RunResult:
     """Inexact Gauss-Newton-CG with a quasi-Newton preconditioner.
 
     Each inner CG iteration applies the true Gauss-Newton Hessian (2N PDE
@@ -460,9 +450,10 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
     operator as CG requires. Its base case is a GNCG_RICHARDSON_ITERS-sweep
     Richardson solve with the fixed curvature model. The trace's ``extra``
     counts Hessian products, also one that meets non-positive curvature.
+    Its linesearch tries the unit step first, the natural length of a
+    Newton step.
     """
-    run = _Run("gncg", problem, reg, budget,
-               policy or LinesearchPolicy(initial_step_rule="unit"))
+    run = _Run("gncg", problem, reg, budget, LinesearchPolicy(initial_step_rule="unit"))
     curv = CurvatureModel(h0_diag, reg)
     harvested = deque(maxlen=GNCG_RETAIN_PAIRS)  # (v, Hv, 1/(v^T Hv))
 
@@ -496,18 +487,13 @@ def run_gncg(problem, reg, h0_diag, budget, policy=None) -> RunResult:
             rz_new = float(np.dot(r, z_new))
             d = z_new + (rz_new / rz) * d
             z, rz = z_new, rz_new
-        if not np.any(x):
-            raise _Stop("budget" if budget.exhausted() else "stalled")
-        g0 = float(np.dot(g, x))
-        if g0 >= 0.0:
-            raise _Stop("stalled")
-        return x, g0, str(products)
+        return x, str(products)
 
     # gradient evaluations keep their wavefields for the inner CG solves
     return run.drive(direction, keep_fields=True)
 
 
-def run_gogn(problem, reg, budget, policy=None) -> RunResult:
+def run_gogn(problem, reg, budget, step_cap) -> RunResult:
     """Gradient-only Gauss-Newton: Gauss-Newton steps at gradient cost.
 
     Every iteration spends 2N solves on the gradient evaluation, builds the
@@ -516,16 +502,10 @@ def run_gogn(problem, reg, budget, policy=None) -> RunResult:
     The direction is provably a descent direction, so no preconditioning
     or smoothing is applied.
     """
-    run = _Run("gogn", problem, reg, budget,
-               policy or LinesearchPolicy(initial_step_rule="cap"))
+    run = _Run("gogn", problem, reg, budget, LinesearchPolicy(step_cap=step_cap))
 
     def direction(g, report):
         step = step_woodbury(assemble(report), run.values, reg)
-        g0 = float(np.dot(g, step.p))
-        if g0 >= 0.0:
-            # only possible when the gradient vanishes or the fallback step
-            # is zero; nothing left to do
-            raise _Stop("converged")
-        return step.p, g0, f"{step.cond_estimate:.6e}"
+        return step.p, f"{step.cond_estimate:.6e}"
 
     return run.drive(direction)

@@ -32,6 +32,16 @@ def _dct_basis(n: int) -> np.ndarray:
     return q
 
 
+def check_spectrum(lam: float, nu: float, h: float) -> None:
+    """Raise ValueError unless the spectrum of D^T D, from (lam nu)^2 up to
+    below (lam (nu + 8 / h^2))^2, fits float64: the normal solve divides by
+    every eigenvalue, and the products reach the largest."""
+    low, high = lam * nu, lam * (nu + 8.0 / (h * h))
+    low, high = low * low, high * high
+    if not (low > 0.0 and 1.0 / low < np.inf and high < np.inf):
+        raise ValueError(f"the spectrum of D^T D, [{low!r}, {high!r}], leaves float64")
+
+
 class SmoothingOperator:
     """Quadratic smoothing penalty around a reference model.
 
@@ -46,6 +56,7 @@ class SmoothingOperator:
     def __init__(self, nx: int, ny: int, h: float, lam: float, nu: float, m0):
         if not (0 < lam < np.inf and 0 < nu < np.inf):
             raise ValueError("smoothing parameters lam and nu must be positive")
+        check_spectrum(lam, nu, h)
         if min(nx, ny) < 2:
             raise ValueError(f"smoothing grid {nx} x {ny} needs at least 2 x 2 cells")
         m0 = np.array(m0.values if hasattr(m0, "values") else m0, dtype=np.float64).ravel()
@@ -162,7 +173,8 @@ class SmoothingOperator:
 def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOperator:
     """The operator D = lam * (nu I - lap_h) on an nx x ny grid around m0.
 
-    Raises ValueError unless lam and nu are positive and finite, the grid
-    has at least 2 x 2 cells and m0 has nx * ny entries.
+    Raises ValueError unless lam and nu are positive and finite, the
+    spectrum of D^T D fits float64 (check_spectrum), the grid has at least
+    2 x 2 cells and m0 has nx * ny entries.
     """
     return SmoothingOperator(nx, ny, h, lam, nu, m0)

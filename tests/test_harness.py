@@ -210,6 +210,20 @@ class TestConfig:
         ExperimentConfig(nx=64, ny=1024, optimizers=("gogn",)).validate()
         ExperimentConfig(nx=1024, ny=64, optimizers=("nlcg",)).validate()
 
+    def test_regularizer_spectrum_must_fit_float64(self, monkeypatch):
+        # D^T D's spectrum runs from (lam nu)^2 to below (lam (nu + 8/h^2))^2;
+        # lam = 1e-300 made the normal solve's SVD fail to converge, and
+        # lam = 1e300 let gogn "converge" after 0 iterations
+        monkeypatch.setattr(harness, "forward_solve",
+                            lambda *args, **kw: pytest.fail("a solve ran"))
+        for lam, nu in (("1e-300", "auto"), ("1e-160", "auto"),
+                        ("1e300", "auto"), ("1.0", "1e-300")):
+            cfg = tiny_config(optimizers=("gogn",), lam=lam, nu=nu)
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"regularizer.lam = {lam} and nu = {nu} are out of range")):
+                prepare_experiment(cfg)
+        tiny_config(lam="1e150").validate()
+
     def test_retired_amplitude_loads_only_at_one(self, tmp_path):
         # every retired key loads, and is ignored, only at its old default:
         # (values an older manifest may carry, values that exit 2)
@@ -270,7 +284,8 @@ def random_config(rng):
     """A valid config whose every key is drawn at random. A draw whose kept
     forward field would pass the size bound, whose h or dt squares outside
     the float range, whose frequency is not below the Nyquist frequency
-    0.5 / dt, or whose recording ends before the wavelet peaks, is made
+    0.5 / dt, whose recording ends before the wavelet peaks, or whose
+    explicit lam puts the regularizer's spectrum outside float64, is made
     again."""
     redraw = ("kept forward field", "out of range", "Nyquist frequency",
               "wavelet peaks")
@@ -607,6 +622,20 @@ class TestRunComparison:
         statuses = {name: res.status if res else None for name, res in results.items()}
         assert statuses == {"gogn": "budget", "lbfgs": "budget"}
 
+    def test_calibrated_lam_outside_float64_runs_no_optimizer(self, tmp_path,
+                                                              monkeypatch):
+        # nu = 1e-300 calibrates lam = 2.19e10, whose (lam nu)^2 underflows;
+        # c0 = 1e-300 calibrates lam = nan
+        monkeypatch.setattr(harness, "run_one",
+                            lambda *args: pytest.fail("an optimizer ran"))
+        for overrides, lam in ((dict(nu="1e-300"), r"219\d{8}\.\d+"),
+                               (dict(c0=1e-300), "nan")):
+            cfg = tiny_config(optimizers=("gogn",), **overrides)
+            with pytest.raises(ConfigError, match=(
+                    rf"\[regularizer\] lam = auto calibrated to {lam}, which is "
+                    "out of range")):
+                run_comparison(cfg, tmp_path / "out")
+
     def test_too_small_nu_names_the_knob(self, tmp_path):
         # at h^2 nu = 4e-10 gogn's N x N system loses definiteness in float64
         cfg = tiny_config(h=20000.0, nt=60, boundary_width=6, nu="1e-18",
@@ -618,6 +647,32 @@ class TestRunComparison:
             r"failed \(RuntimeError: low-rank system not SPD \(cond ~ \S+\): "
             r"cond\(D\^T D\) ~ 4\.000e\+20 at h\^2 nu = 4\.000e-10 is too large "
             r"for float64; raise \[regularizer\] nu\)", status.group(1))
+
+
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_every_optimizer_spends_its_solves_by_kind(monkeypatch, name):
+    # between gradient sweeps: forward N (1 + ls_evals), adjoint N (1 + inner)
+    # and Born N inner, where inner is gncg's Hessian products and 0 for the
+    # other three
+    exp = prepare_experiment(tiny_config(optimizers=(name,), budget=60))
+    sweeps = []
+    real = harness.FwiProblem.misfit_and_gradients
+
+    def recorded(self, *args, **kw):
+        report = real(self, *args, **kw)
+        sweeps.append(self.ledger.snapshot())
+        return report
+    monkeypatch.setattr(harness.FwiProblem, "misfit_and_gradients", recorded)
+    result, ledger = harness.run_one(exp, name)
+    n = exp.cfg.geometry.n_sources
+    assert len(sweeps) == len(result.records) >= 3
+    assert (sweeps[0].forward, sweeps[0].adjoint, sweeps[0].born) == (n, n, 0)
+    for rec, a, b in zip(result.records[1:], sweeps, sweeps[1:]):
+        inner = int(rec.extra) if name == "gncg" else 0
+        assert b.forward - a.forward == n * (1 + rec.ls_evals)
+        assert b.adjoint - a.adjoint == n * (1 + inner)
+        assert b.born - a.born == n * inner
+    assert ledger.snapshot() == sweeps[-1]
 
 
 class TestAccountingGuard:

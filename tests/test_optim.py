@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -98,14 +99,19 @@ def closed_form(prob, reg):
     return m_star, float(phi.sum()) + reg.value(m_star)
 
 
-def run_any(name, prob, reg, budget, policy=None, **kw):
+STEP_CAP = 0.05
+
+
+def run_any(name, prob, reg, budget):
     if name == "gogn":
-        return run_gogn(prob, reg, budget, policy=policy, **kw)
-    runner = {"nlcg": run_nlcg, "lbfgs": run_lbfgs, "gncg": run_gncg}[name]
-    return runner(prob, reg, h0_of(prob), budget, policy=policy, **kw)
+        return run_gogn(prob, reg, budget, STEP_CAP)
+    if name == "gncg":
+        return run_gncg(prob, reg, h0_of(prob), budget)
+    runner = {"nlcg": run_nlcg, "lbfgs": run_lbfgs}[name]
+    return runner(prob, reg, h0_of(prob), budget, STEP_CAP)
 
 
-CAP = LinesearchPolicy(initial_step_rule="cap", step_cap=0.05)
+CAP = LinesearchPolicy(initial_step_rule="cap", step_cap=STEP_CAP)
 UNIT = LinesearchPolicy(initial_step_rule="unit")
 
 
@@ -341,8 +347,7 @@ def test_runs_factor_only_what_they_solve_with(monkeypatch, name, factored):
         return real(*args)
     monkeypatch.setattr(optim, "block_cholesky", block_cholesky)
     prob = make_generic(seed=13)
-    res = run_any(name, prob, make_reg(), Budget(prob.ledger, 60),
-                  policy=UNIT if name == "gncg" else CAP)
+    res = run_any(name, prob, make_reg(), Budget(prob.ledger, 60))
     assert len(res.records) >= 3
     assert built == factored
 
@@ -392,31 +397,41 @@ class TestConvergence:
         reg = make_reg()
         m_star, f_star = closed_form(prob, reg)
         res = run_nlcg(prob, reg, h0_of(prob), Budget(prob.ledger, 10**6),
-                       policy=CAP)
+                       STEP_CAP)
         assert_monotone(res.records)
         assert res.records[-1].iter <= 60
         f0 = res.records[0].objective
         assert abs(res.records[-1].objective - f_star) <= 1e-9 * (f0 - f_star)
         assert np.linalg.norm(res.m_final - m_star) <= 1e-5
 
-    def test_nlcg_first_step_is_exact_newton_when_curvature_model_is_exact(self):
+    def test_nlcg_first_step_is_exact_newton_when_curvature_model_is_exact(
+            self, monkeypatch):
         # with a diagonal misfit Hessian the preconditioner equals the true
-        # Hessian, so the first direction is the Newton step and a unit
-        # step lands on the minimizer
+        # Hessian, so the first direction is the Newton step: m0 + p is the
+        # minimizer
         prob = make_diagonal()
-        res = run_nlcg(prob, make_reg(), h0_of(prob),
-                       Budget(prob.ledger, 60), policy=UNIT)
-        r0, r1 = res.records[0], res.records[1]
-        assert r1.grad_norm <= 1e-12 * r0.grad_norm
-        assert r1.ls_evals == 1
-        assert r1.step == 1.0
+        twin = QuadraticProblem(prob.mats, prob.target)  # charges its own ledger
+        reg = make_reg()
+        seen = []
+
+        def recording(objective, m, p, f0, g0, policy):
+            seen.append((m.copy(), p.copy()))
+            return linesearch(objective, m, p, f0, g0, policy)
+        monkeypatch.setattr(optim, "linesearch", recording)
+        run_nlcg(prob, reg, h0_of(prob), Budget(prob.ledger, 60), STEP_CAP)
+
+        def grad_norm(values):
+            report = twin.misfit_and_gradients(ModelGrid(values, NX, NY))
+            return np.linalg.norm(report.gradients.sum(axis=0) + reg.grad(values))
+        m0, p = seen[0]
+        assert grad_norm(m0 + p) <= 1e-12 * grad_norm(m0)
 
     def test_lbfgs_reaches_regularized_minimizer(self):
         prob = make_generic()
         reg = make_reg()
         m_star, f_star = closed_form(prob, reg)
         res = run_lbfgs(prob, reg, h0_of(prob), Budget(prob.ledger, 10**6),
-                        policy=CAP)
+                        STEP_CAP)
         assert_monotone(res.records)
         f0 = res.records[0].objective
         assert abs(res.records[-1].objective - f_star) <= 1e-8 * (f0 - f_star)
@@ -447,7 +462,7 @@ class TestConvergence:
         prob = make_generic()
         reg = make_reg()
         m_star, f_star = closed_form(prob, reg)
-        res = run_gogn(prob, reg, Budget(prob.ledger, 10**6), policy=CAP)
+        res = run_gogn(prob, reg, Budget(prob.ledger, 10**6), STEP_CAP)
         assert_monotone(res.records)
         f0 = res.records[0].objective
         assert abs(res.records[-1].objective - f_star) <= 1e-8 * (f0 - f_star)
@@ -469,7 +484,7 @@ class TestConvergence:
             seen.append((g0, float(np.dot(g, p))))
             return linesearch(objective, m, p, f0, g0, policy)
         monkeypatch.setattr(optim, "linesearch", recording)
-        res = run_gogn(prob, reg, Budget(prob.ledger, 100), policy=CAP)
+        res = run_gogn(prob, reg, Budget(prob.ledger, 100), STEP_CAP)
         assert len(seen) == len(res.records) - 1 >= 5
         for g0, expect in seen:
             assert g0 == expect
@@ -478,7 +493,7 @@ class TestConvergence:
 class TestAccountingAndBudget:
     def test_gogn_charges_two_solves_per_source_per_iteration(self):
         prob = make_generic(seed=3)
-        res = run_gogn(prob, make_reg(), Budget(prob.ledger, 200), policy=CAP)
+        res = run_gogn(prob, make_reg(), Budget(prob.ledger, 200), STEP_CAP)
         n = prob.n_sources
         assert res.records[0].solves == 2 * n
         for a, b in zip(res.records, res.records[1:]):
@@ -487,7 +502,7 @@ class TestAccountingAndBudget:
     def test_nlcg_charges_gradient_plus_linesearch(self):
         prob = make_generic(seed=4)
         res = run_nlcg(prob, make_reg(), h0_of(prob),
-                       Budget(prob.ledger, 150), policy=CAP)
+                       Budget(prob.ledger, 150), STEP_CAP)
         n = prob.n_sources
         assert res.records[0].solves == 2 * n
         for a, b in zip(res.records, res.records[1:]):
@@ -496,7 +511,7 @@ class TestAccountingAndBudget:
     def test_lbfgs_charges_gradient_plus_linesearch(self):
         prob = make_generic(seed=5)
         res = run_lbfgs(prob, make_reg(), h0_of(prob),
-                        Budget(prob.ledger, 150), policy=CAP)
+                        Budget(prob.ledger, 150), STEP_CAP)
         n = prob.n_sources
         for a, b in zip(res.records, res.records[1:]):
             assert b.solves - a.solves == 2 * n + b.ls_evals * n
@@ -514,8 +529,7 @@ class TestAccountingAndBudget:
     def test_no_iteration_starts_past_budget(self, name):
         prob = make_generic(seed=7)
         budget = Budget(prob.ledger, max_solves=25)
-        res = run_any(name, prob, make_reg(), budget,
-                      policy=UNIT if name == "gncg" else CAP)
+        res = run_any(name, prob, make_reg(), budget)
         assert res.status == "budget"
         recs = res.records
         assert len(recs) >= 2
@@ -553,8 +567,7 @@ class TestAccountingAndBudget:
                     fields=[object()] * self.n_sources if keep_fields else None)
 
         prob = FlatProblem([np.eye(P)] * 2, np.zeros(P))
-        res = run_any(name, prob, make_reg(), Budget(prob.ledger, 500),
-                      policy=UNIT if name == "gncg" else CAP)
+        res = run_any(name, prob, make_reg(), Budget(prob.ledger, 500))
         assert res.status == "stalled"
         assert len(res.records) == 1
         n = prob.n_sources
@@ -563,6 +576,49 @@ class TestAccountingAndBudget:
         hessvecs = 1 if name == "gncg" else 0
         assert prob.ledger.born == hessvecs * n
         assert prob.ledger.adjoint == n + hessvecs * n
+
+    @pytest.mark.parametrize("name", ["nlcg", "lbfgs", "gncg", "gogn"])
+    def test_ascent_direction_stalls_before_any_trial(self, monkeypatch, name):
+        # the solve each rule ends with is negated, so its first direction
+        # points uphill; the loop stops before the linesearch spends a solve
+        class IndefiniteHvp(QuadraticProblem):
+            def gn_hessian_vec(self, model, v, fields=None):
+                super().gn_hessian_vec(model, v, fields)
+                return -1000.0 * v
+
+        base = make_generic(seed=14)
+        prob = (IndefiniteHvp if name == "gncg" else QuadraticProblem)(
+            base.mats, base.target)
+        reg = make_reg()
+
+        def negated(solve):
+            return lambda *args: -solve(*args)
+        if name == "gogn":
+            real = optim.step_woodbury
+
+            def step_woodbury(*args):
+                step = real(*args)
+                return replace(step, p=-step.p)
+            monkeypatch.setattr(optim, "step_woodbury", step_woodbury)
+        elif name == "nlcg":
+            monkeypatch.setattr(CurvatureModel, "solve", negated(CurvatureModel.solve))
+        elif name == "lbfgs":
+            # the smoothed gradient is ascent, and so is the fallback
+            monkeypatch.setattr(optim, "two_loop_apply", lambda pairs, base, g: g)
+            monkeypatch.setattr(reg, "solve_normal", negated(reg.solve_normal))
+        else:
+            monkeypatch.setattr(CurvatureModel, "richardson",
+                                negated(CurvatureModel.richardson))
+        res = run_any(name, prob, reg, Budget(prob.ledger, 100))
+        assert res.status == "stalled"
+        assert len(res.records) == 1
+        n = prob.n_sources
+        # the gradient, and gncg's one Hessian product, which meets negative
+        # curvature and falls back to the preconditioned gradient
+        products = 1 if name == "gncg" else 0
+        assert prob.ledger.forward == n
+        assert prob.ledger.adjoint == n + products * n
+        assert prob.ledger.born == products * n
 
     def test_gncg_negative_curvature_falls_back_to_preconditioned_gradient(self):
         class IndefiniteHvp(QuadraticProblem):
@@ -597,5 +653,5 @@ class TestAccountingAndBudget:
     def test_model_error_is_nan_without_reference_model(self):
         prob = make_generic(seed=12)
         prob.m_true = None
-        res = run_gogn(prob, make_reg(), Budget(prob.ledger, 20), policy=CAP)
+        res = run_gogn(prob, make_reg(), Budget(prob.ledger, 20), STEP_CAP)
         assert all(np.isnan(r.model_error) for r in res.records)

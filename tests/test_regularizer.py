@@ -243,6 +243,17 @@ def test_build_rejects_bad_parameters():
         build(8, 1, H, LAM, NU, np.zeros(8))
 
 
+def test_build_rejects_a_spectrum_outside_float64():
+    # (lam nu)^2 underflows to zero, or (lam (nu + 8 / h^2))^2 overflows
+    for lam, nu in ((1e-160, NU), (LAM, 1e-300), (1e300, NU), (LAM, 1e200)):
+        with pytest.raises(ValueError, match="leaves float64"):
+            build(8, 8, H, lam, nu, np.zeros(64))
+    # a subnormal floor whose inverse overflows
+    with pytest.raises(ValueError, match="leaves float64"):
+        build(8, 8, 1.0, 1.0, 1e-160, np.zeros(64))
+    build(8, 8, H, 1e150, NU, np.zeros(64))
+
+
 def test_operator_accepts_model_grids():
     from gowave.wave import ModelGrid
 
