@@ -17,8 +17,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .harness import (ConfigError, ExperimentConfig, load_config,
                       run_comparison, render_file, write_data_dir,
                       OPTIMIZER_NAMES)
@@ -103,12 +101,12 @@ def main(argv=None) -> int:
             ok += 1
             last = result.records[-1]
             print(f"{name}: {result.status} after {last.iter} iterations, "
-                  f"{last.solves} solves, model error {last.model_error:.6g}")
+                  f"{result.solves} solves, model error {last.model_error:.6g}")
         return 0 if ok else 3
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -71,8 +71,7 @@ def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
     the pure regularization pull p = -delta, flagged as a fallback. No PDE
     solves.
     """
-    values = m_k.values if hasattr(m_k, "values") else np.asarray(m_k, dtype=np.float64)
-    delta = values.ravel() - reg.m0
+    delta = np.asarray(m_k, dtype=np.float64).ravel() - reg.m0
 
     if J.n_active == 0:
         return GognStep(p=-delta, n_small=0, cond_estimate=1.0, fallback=True)

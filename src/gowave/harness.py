@@ -21,8 +21,8 @@ import numpy as np
 
 from . import fileio
 from .ledger import SolveLedger
-from .optim import (Budget, LinesearchPolicy, curvature_factor_nbytes, run_gncg,
-                    run_gogn, run_lbfgs, run_nlcg)
+from .optim import (LinesearchPolicy, curvature_factor_nbytes, run_gncg, run_gogn,
+                    run_lbfgs, run_nlcg)
 from .problem import (DataSet, FwiProblem, Geometry, make_noisy_data,
                       receiver_weights)
 from .regularizer import build as build_regularizer, check_spectrum
@@ -100,9 +100,10 @@ class ExperimentConfig:
                 f"one kept forward field would hold {kept / 1e9:.3g} GB, past the "
                 f"{KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit: reduce the grid, "
                 "nt or the substeps (dt * c0 / h)")
-        # the solves square h and dt and divide by the squares, and nu = auto
-        # squares 5 h; a float power raises OverflowError on an inf product
-        squared = [("h", self.h), ("dt", self.dt)]
+        # the solves square h, dt and c0 (in v = (c0 (1 + m))^2) and divide by
+        # the squares, and nu = auto squares 5 h; a float power raises
+        # OverflowError on an inf product
+        squared = [("h", self.h), ("dt", self.dt), ("c0", self.c0)]
         if self.nu == "auto":
             squared.append(("h", 5.0 * self.h))
         for key, value in squared:
@@ -354,21 +355,6 @@ def gen_geometry(spec: GeometrySpec, extent: tuple, frequency: float) -> Geometr
     return Geometry(sources=sources, receivers=rec)
 
 
-@dataclass
-class TargetModel:
-    """True perturbation with a hard amplitude cap."""
-
-    model: ModelGrid
-    cap: float
-
-    def __post_init__(self):
-        if not 0.0 < self.cap < 1.0:
-            raise ValueError("cap must lie in (0, 1)")
-        v = self.model.values
-        if v.min() < -self.cap * (1 + 1e-12) or v.max() > 0.0:
-            raise ValueError("target values must lie in [-cap, 0]")
-
-
 def _soft_mask(excess, taper=2.0):
     """1 inside a feature, Gaussian falloff outside, hard 0 far away."""
     s = np.exp(-np.maximum(0.0, excess) ** 2 / (2.0 * taper ** 2))
@@ -376,15 +362,22 @@ def _soft_mask(excess, taper=2.0):
     return s
 
 
-def gen_target(spec: TargetSpec, nx: int, ny: int) -> TargetModel:
+def gen_target(spec: TargetSpec, nx: int, ny: int) -> ModelGrid:
     """Synthesize the true perturbation: low-velocity features of amplitude
-    -cap on a zero background with a 2-cell Gaussian edge taper."""
+    -cap on a zero background with a 2-cell Gaussian edge taper. A target
+    read from file must lie in [-cap, 0]; a synthetic one does by
+    construction."""
+    if not 0.0 < spec.cap < 1.0:
+        raise ValueError("cap must lie in (0, 1)")
     if spec.kind == "from-file":
         model = fileio.read_model(spec.file)
         if (model.nx, model.ny) != (nx, ny):
             raise ConfigError(f"target file is {model.nx}x{model.ny}, "
                               f"grid is {nx}x{ny}")
-        return TargetModel(model=model, cap=spec.cap)
+        v = model.values
+        if v.min() < -spec.cap * (1 + 1e-12) or v.max() > 0.0:
+            raise ValueError("target values must lie in [-cap, 0]")
+        return model
     if min(nx, ny) < 16:
         raise ConfigError("synthetic targets need a grid of at least 16x16")
     x = np.arange(nx, dtype=np.float64)[:, None]
@@ -408,7 +401,7 @@ def gen_target(spec: TargetSpec, nx: int, ny: int) -> TargetModel:
         shape = np.maximum.reduce(disks)
     values = -spec.cap * shape
     values += 0.0  # normalize -0.0 so untouched background is exactly +0.0
-    return TargetModel(model=ModelGrid(values.ravel(), nx, ny), cap=spec.cap)
+    return ModelGrid(values.ravel(), nx, ny)
 
 
 @dataclass
@@ -418,22 +411,21 @@ class Experiment:
     cfg: ExperimentConfig
     grid: SimGrid
     geom: Geometry
-    target: TargetModel
+    target: ModelGrid
     data: DataSet
     h0_diag: np.ndarray
     lam: float
-    nu: float
     setup_solves: int
 
     def regularizer(self):
         p = self.grid.nx * self.grid.ny
         return build_regularizer(self.grid.nx, self.grid.ny, self.grid.h,
-                                 self.lam, self.nu, np.zeros(p))
+                                 self.lam, self.cfg.nu_value(), np.zeros(p))
 
     def problem(self) -> FwiProblem:
         """Fresh problem instance with its own ledger."""
         return FwiProblem(self.grid, self.geom, self.data,
-                          ledger=SolveLedger(), m_true=self.target.model)
+                          ledger=SolveLedger(), m_true=self.target)
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
@@ -452,7 +444,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
         raise ConfigError(str(exc)) from None
 
     setup_ledger = SolveLedger()
-    clean = [forward_solve(target.model, src, geom.receivers, grid,
+    clean = [forward_solve(target, src, geom.receivers, grid,
                            setup_ledger)[0]
              for src in geom.sources]
     weights = receiver_weights(geom, clean)
@@ -477,8 +469,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
     else:
         lam = float(cfg.lam)
     return Experiment(cfg=cfg, grid=grid, geom=geom, target=target, data=data,
-                      h0_diag=h0_diag, lam=lam, nu=nu,
-                      setup_solves=setup_ledger.total)
+                      h0_diag=h0_diag, lam=lam, setup_solves=setup_ledger.total)
 
 
 def run_one(exp: Experiment, name: str):
@@ -487,31 +478,35 @@ def run_one(exp: Experiment, name: str):
         raise ConfigError(f"unknown optimizer {name!r}")
     problem = exp.problem()
     reg = exp.regularizer()
-    budget = Budget(problem.ledger, exp.cfg.budget)
+    budget = exp.cfg.budget
     if name == "gogn":
         result = run_gogn(problem, reg, budget, exp.cfg.ls_step_cap)
-        _check_gradient_only_accounting(result, problem.n_sources)
     elif name == "nlcg":
         result = run_nlcg(problem, reg, exp.h0_diag, budget, exp.cfg.ls_step_cap)
     elif name == "lbfgs":
         result = run_lbfgs(problem, reg, exp.h0_diag, budget, exp.cfg.ls_step_cap)
     else:
         result = run_gncg(problem, reg, exp.h0_diag, budget)
+    _check_gradient_only_accounting(result, problem.n_sources)
     return result, problem.ledger
 
 
 def _check_gradient_only_accounting(result, n: int):
-    """The gradient-only method must spend exactly 2N solves per gradient
-    and nothing on step construction; checked on every harness run."""
+    """Every run must spend exactly 2N solves per gradient, N per linesearch
+    trial and, for gncg, 2N per Hessian product (its ``extra``), and nothing
+    else: gogn builds its step from the gradient alone. Checked on every
+    harness run."""
+    what = "gradient-only" if result.name == "gogn" else result.name
     recs = result.records
     if recs and recs[0].solves != 2 * n:
-        raise RuntimeError("gradient-only accounting violated at startup: "
+        raise RuntimeError(f"{what} accounting violated at startup: "
                            f"{recs[0].solves} != {2 * n}")
     for a, b in zip(recs, recs[1:]):
-        expected = 2 * n + b.ls_evals * n
+        inner = int(b.extra) if result.name == "gncg" else 0
+        expected = 2 * n + b.ls_evals * n + 2 * n * inner
         if b.solves - a.solves != expected:
             raise RuntimeError(
-                f"gradient-only accounting violated at iteration {b.iter}: "
+                f"{what} accounting violated at iteration {b.iter}: "
                 f"{b.solves - a.solves} != {expected}")
 
 
@@ -532,11 +527,11 @@ def _derived_lines(exp: Experiment) -> list:
         "[derived]",
         f"extent_x = {exp.grid.extent[0]!r}",
         f"extent_y = {exp.grid.extent[1]!r}",
-        f"substeps = {cfl_substeps(exp.target.model, exp.grid)}",
+        f"substeps = {cfl_substeps(exp.target, exp.grid)}",
         f"lam = {exp.lam!r}",
-        f"nu = {exp.nu!r}",
+        f"nu = {exp.cfg.nu_value()!r}",
         f"h0_inf_norm = {float(np.max(exp.h0_diag))!r}",
-        f"m_true_norm = {float(np.linalg.norm(exp.target.model.values))!r}",
+        f"m_true_norm = {float(np.linalg.norm(exp.target.values))!r}",
         f"setup_solves = {exp.setup_solves}",
     ]
 
@@ -555,9 +550,8 @@ def _clear_run_dir(out: Path) -> None:
 def _write_inputs(out: Path, exp: Experiment, tail: list) -> None:
     """Write the target, the geometry and, last, a manifest of the config,
     the derived values and `tail`; the manifest appears only complete."""
-    fileio.write_model(out / "target.modl", exp.target.model)
-    fileio.write_pgm(out / "target.pgm", exp.target.model.as_2d(),
-                     exp.target.cap)
+    fileio.write_model(out / "target.modl", exp.target)
+    fileio.write_pgm(out / "target.pgm", exp.target.as_2d(), exp.cfg.target.cap)
     (out / "geometry.txt").write_text(
         "\n".join(_geometry_lines(exp.geom, exp.grid.extent)) + "\n")
     lines = config_lines(exp.cfg) + [""] + _derived_lines(exp) + tail
@@ -592,9 +586,8 @@ def run_comparison(cfg: ExperimentConfig, out_dir):
 
     def attempt(name):
         try:
-            return run_one(exp, name), None
-        except (RuntimeError, ValueError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
+            return run_one(exp, name)[0], None
+        except (RuntimeError, ValueError) as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
     names = list(cfg.optimizers)
@@ -606,22 +599,19 @@ def run_comparison(cfg: ExperimentConfig, out_dir):
 
     results = {}
     result_lines = ["[results]"]
-    for name, (outcome, error) in zip(names, outcomes):
-        if outcome is None:
-            results[name] = None
+    for name, (result, error) in zip(names, outcomes):
+        results[name] = result
+        if result is None:
             result_lines.append(f"{name}_status = failed ({error})")
             continue
-        result, ledger = outcome
-        results[name] = result
         fileio.write_trace_csv(out / f"{name}_trace.csv", result.records)
         final = ModelGrid(result.m_final, cfg.nx, cfg.ny)
         fileio.write_model(out / f"{name}_final.modl", final)
-        fileio.write_pgm(out / f"{name}_final.pgm", final.as_2d(),
-                         exp.target.cap)
+        fileio.write_pgm(out / f"{name}_final.pgm", final.as_2d(), cfg.target.cap)
         last = result.records[-1]
         result_lines += [
             f"{name}_status = {result.status}",
-            f"{name}_solves = {ledger.total}",
+            f"{name}_solves = {result.solves}",
             f"{name}_iterations = {last.iter}",
             f"{name}_objective = {last.objective!r}",
             f"{name}_model_error = {last.model_error!r}",

@@ -17,10 +17,10 @@ The four differ only in how the gradient becomes a direction. Each is a
 direction rule over one loop, _Run.drive: evaluate the gradient, record,
 ask the rule for a step, linesearch along it, repeat. The loop, not the
 rule, tests the step for descent: a direction with g.p >= 0 ends the run
-"stalled" before any trial. All runs charge PDE work to a Budget wrapping
-the problem's solve ledger; an iteration may start only while the budget
-is unspent, so at most one iteration's cost overshoots. Accepted steps
-must strictly decrease F.
+"stalled" before any trial. A run's budget is a cap on the solves its
+problem's ledger counts from the run's start; an iteration may start only
+while the budget is unspent, so at most one iteration's cost overshoots.
+Accepted steps must strictly decrease F.
 """
 
 from __future__ import annotations
@@ -68,23 +68,6 @@ class LinesearchPolicy:
         return self.step_cap / pinf
 
 
-class Budget:
-    """PDE-solve budget counted against a ledger from the moment of creation."""
-
-    def __init__(self, ledger, max_solves: int):
-        if max_solves < 1:
-            raise ValueError("budget must allow at least one solve")
-        self.ledger = ledger
-        self.max_solves = max_solves
-        self._base = ledger.snapshot()
-
-    def used(self) -> int:
-        return self.ledger.delta(self._base).total
-
-    def exhausted(self) -> bool:
-        return self.used() >= self.max_solves
-
-
 @dataclass
 class TraceRecord:
     """One accepted iterate in a run trace."""
@@ -106,6 +89,7 @@ class RunResult:
     name: str
     records: list
     status: str            # "budget", "stalled", or "converged"
+    solves: int            # all the run spent, trials after its last record too
     m_final: np.ndarray = field(repr=False)
 
 
@@ -254,7 +238,8 @@ class CurvatureModel:
 
     def lambda_max(self) -> float:
         """Largest eigenvalue by 20 steps of power iteration with a fixed
-        start vector."""
+        start vector. Raises RuntimeError unless the estimate is finite and
+        positive, as M's largest eigenvalue is."""
         if self._lambda_max is None:
             rng = np.random.default_rng(0)
             v = rng.standard_normal(self.h0.size)
@@ -267,6 +252,11 @@ class CurvatureModel:
                 if nw == 0.0:
                     break
                 v = w / nw
+            if not 0.0 < est < np.inf:
+                raise RuntimeError(
+                    f"the curvature model's largest eigenvalue estimate is {est!r}: "
+                    f"M = diag(h0) + D^T D at lam = {self.reg.lam!r} leaves float64; "
+                    "lower [regularizer] lam")
             self._lambda_max = est
         return self._lambda_max
 
@@ -309,15 +299,22 @@ def two_loop_apply(pairs, base_apply, grad: np.ndarray) -> np.ndarray:
 class _Run:
     """State of one optimizer run and the loop shared by every driver."""
 
-    def __init__(self, name, problem, reg, budget, policy):
+    def __init__(self, name, problem, reg, budget: int, policy):
+        if budget < 1:
+            raise ValueError("budget must allow at least one solve")
         self.name = name
         self.problem = problem
         self.reg = reg
         self.budget = budget
         self.policy = policy
+        self._start = problem.ledger.snapshot()
         self.values = reg.m0.copy()
         self.records = []
         self.status = "budget"
+
+    def used(self) -> int:
+        """Solves the problem's ledger has counted since the run began."""
+        return self.problem.ledger.delta(self._start).total
 
     def model(self, values) -> ModelGrid:
         return ModelGrid(values, self.problem.grid.nx, self.problem.grid.ny)
@@ -341,7 +338,7 @@ class _Run:
 
     def record(self, it, f, gnorm, step, ls_evals, extra=""):
         self.records.append(TraceRecord(
-            iter=it, solves=self.budget.used(), objective=f, grad_norm=gnorm,
+            iter=it, solves=self.used(), objective=f, grad_norm=gnorm,
             model_error=self.model_error(), step=step, ls_evals=ls_evals,
             extra=extra,
         ))
@@ -355,7 +352,7 @@ class _Run:
         gnorm = float(np.linalg.norm(g))
         self.record(0, f, gnorm, 0.0, 0)
         it = 0
-        while not self.budget.exhausted():
+        while self.used() < self.budget:
             if gnorm == 0.0:
                 self.status = "converged"
                 break
@@ -376,8 +373,8 @@ class _Run:
             gnorm = float(np.linalg.norm(g))
             it += 1
             self.record(it, f, gnorm, alpha, evals, extra)
-        return RunResult(name=self.name, records=self.records,
-                         status=self.status, m_final=self.values)
+        return RunResult(name=self.name, records=self.records, status=self.status,
+                         solves=self.used(), m_final=self.values)
 
 
 def run_nlcg(problem, reg, h0_diag, budget, step_cap) -> RunResult:
@@ -468,7 +465,7 @@ def run_gncg(problem, reg, h0_diag, budget) -> RunResult:
         rz = float(np.dot(r, z))
         bnorm = float(np.linalg.norm(b))
         products = 0  # Hessian products paid for, admitted or not
-        while products < GNCG_CG_MAXITER and not budget.exhausted():
+        while products < GNCG_CG_MAXITER and run.used() < budget:
             hd = problem.gn_hessian_vec(run.model(run.values), d,
                                         fields=report.fields) + reg.hess_vec(d)
             products += 1

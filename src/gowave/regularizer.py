@@ -45,12 +45,11 @@ def check_spectrum(lam: float, nu: float, h: float) -> None:
 class SmoothingOperator:
     """Quadratic smoothing penalty around a reference model.
 
-    m0 is the reference model (array-like of nx * ny entries, or anything with
-    a .values attribute of that length). The products and the normal solve
-    are both computed here from (lam, nu, h); the CSR matrix ``D`` is made on
-    first use. ``harness.run_one`` builds a fresh operator for each run, so
-    one run owns it and its scratch array, also when runs execute on several
-    threads.
+    m0 is the reference model, an array-like of nx * ny entries. The
+    products and the normal solve are both computed here from (lam, nu, h);
+    the CSR matrix ``D`` is made on first use. ``harness.run_one`` builds a
+    fresh operator for each run, so one run owns it and its scratch array,
+    also when runs execute on several threads.
     """
 
     def __init__(self, nx: int, ny: int, h: float, lam: float, nu: float, m0):
@@ -59,7 +58,7 @@ class SmoothingOperator:
         check_spectrum(lam, nu, h)
         if min(nx, ny) < 2:
             raise ValueError(f"smoothing grid {nx} x {ny} needs at least 2 x 2 cells")
-        m0 = np.array(m0.values if hasattr(m0, "values") else m0, dtype=np.float64).ravel()
+        m0 = np.array(m0, dtype=np.float64).ravel()
         if m0.size != nx * ny:
             raise ValueError(f"reference model has {m0.size} entries, expected {nx * ny}")
         self.lam = float(lam)
@@ -134,8 +133,7 @@ class SmoothingOperator:
         return (self.lam * self.nu) ** 2
 
     def _delta(self, m) -> np.ndarray:
-        values = m.values if hasattr(m, "values") else np.asarray(m, dtype=np.float64)
-        values = values.ravel()
+        values = np.asarray(m, dtype=np.float64).ravel()
         if values.size != self.p:
             raise ValueError(f"model has {values.size} entries, expected {self.p}")
         return values - self.m0

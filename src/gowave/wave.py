@@ -184,15 +184,6 @@ class Wavefield:
     scatter: np.ndarray            # (n_steps, nxp, nyp + 2 * _HALO)
     substeps: int
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
-    nt: int
-
-    def __post_init__(self):
-        expected = self.substeps * (self.nt - 1)
-        if self.scatter.shape[0] != expected:
-            raise ValueError(
-                f"scatter count {self.scatter.shape[0]} inconsistent with "
-                f"nt={self.nt}, substeps={self.substeps} (expected {expected})"
-            )
 
 
 def ricker(t, f: float, t0: float = 0.0):
@@ -461,7 +452,7 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     wavefield = None
     if keep_field:
         wavefield = Wavefield(scatter=scatter, substeps=ws.k,
-                              receiver_cells=ws.receiver_cells, nt=grid.nt)
+                              receiver_cells=ws.receiver_cells)
     return traces, wavefield
 
 

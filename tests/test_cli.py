@@ -1,6 +1,7 @@
 """Exit codes, overrides, and artifacts of the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,43 @@ def test_all_failures_exit_3(tiny_cfg_file, tmp_path, monkeypatch):
     code = main(["invert", "--config", str(tiny_cfg_file),
                  "--out", str(tmp_path / "o"), "--optimizer", "gogn"])
     assert code == 3
+
+
+def probe_cfg_file(tmp_path, optimizers):
+    # 20 x 20, two sources, 8 receivers, budget 20, and a lam inside the
+    # float64 range whose curvature model is not
+    cfg = ExperimentConfig(
+        nx=20, ny=20, h=8000.0, nt=50, boundary_width=8,
+        geometry=GeometrySpec(kind="uniform", n_sources=2, n_receivers=8),
+        budget=20, lam="1e150", optimizers=optimizers)
+    path = tmp_path / "probe.cfg"
+    path.write_text("\n".join(config_lines(cfg)) + "\n")
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_curvature_overflow_fails_gncg_and_exits_3(tmp_path):
+    # gncg's power iteration overflowed to a zero estimate and raised
+    # ZeroDivisionError, a traceback
+    out = tmp_path / "o"
+    path = probe_cfg_file(tmp_path, ("gncg",))
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 3
+    assert re.search(r"gncg_status = failed \(RuntimeError: .*\[regularizer\] lam",
+                     (out / "manifest.cfg").read_text())
+
+
+def test_printed_solves_match_the_manifest(tmp_path, capsys):
+    # each run stalls after spending its linesearch trials: the line used to
+    # print the solves at the last record, 4, and the manifest the total, 24
+    out = tmp_path / "o"
+    path = probe_cfg_file(tmp_path, ("gogn", "nlcg", "lbfgs"))
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    printed = dict(re.findall(r"(\w+): stalled after 0 iterations, (\d+) solves",
+                              capsys.readouterr().out))
+    manifest = dict(re.findall(r"^(gogn|nlcg|lbfgs)_solves = (\d+)$",
+                               (out / "manifest.cfg").read_text(), re.M))
+    assert printed == manifest and len(printed) == 3
+    assert printed["gogn"] != "4"
 
 
 def test_installed_entry_point(tmp_path):

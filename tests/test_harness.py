@@ -13,9 +13,8 @@ import pytest
 
 from gowave import fileio, harness
 from gowave.harness import (ConfigError, ExperimentConfig, GeometrySpec,
-                            TargetModel, TargetSpec, config_lines,
-                            gen_geometry, gen_target, load_config,
-                            prepare_experiment, run_comparison)
+                            TargetSpec, config_lines, gen_geometry, gen_target,
+                            load_config, prepare_experiment, run_comparison)
 from gowave.wave import ModelGrid
 
 EXTENT = (500e3, 500e3)
@@ -158,13 +157,16 @@ class TestConfig:
         # the sweeps square h and dt, and nu = auto squares 5 h; each of
         # these raised OverflowError inside the first clean-data solve, and
         # dt = 1e-300, whose square is zero, a SolverBlowupError in the
-        # adjoint's 12 h^2 q / dt^2
+        # adjoint's 12 h^2 q / dt^2. c0 = 1e-300 ran the whole set-up on
+        # zero traces and a division by the zero speed, then calibrated
+        # lam = nan
         monkeypatch.setattr(harness, "forward_solve",
                             lambda *args, **kw: pytest.fail("a solve ran"))
         for overrides, shown in ((dict(h=1e155), "grid.h = 1e+155"),
                                  (dict(c0=1e-300, dt=1e160), "grid.dt = 1e+160"),
                                  (dict(h=3e153), "grid.h = 3e+153"),
-                                 (dict(dt=1e-300), "grid.dt = 1e-300")):
+                                 (dict(dt=1e-300), "grid.dt = 1e-300"),
+                                 (dict(c0=1e-300), "grid.c0 = 1e-300")):
             cfg = tiny_config(optimizers=("gogn",), **overrides)
             with pytest.raises(ConfigError, match=re.escape(shown)):
                 prepare_experiment(cfg)
@@ -417,57 +419,54 @@ class TestGeometry:
 class TestTarget:
     def test_face_amplitude_bounds_are_exact(self):
         target = gen_target(TargetSpec(kind="face", cap=0.05), 64, 64)
-        v = target.model.values
+        v = target.values
         assert v.min() == -0.05
         assert v.max() == 0.0
 
     def test_face_is_bitwise_mirror_symmetric(self):
         target = gen_target(TargetSpec(kind="face", cap=0.05), 64, 48)
-        grid = target.model.as_2d()
+        grid = target.as_2d()
         assert np.array_equal(grid, grid[::-1, :])
 
     def test_face_deterministic(self):
         a = gen_target(TargetSpec(kind="face", cap=0.05), 32, 32)
         b = gen_target(TargetSpec(kind="face", cap=0.05), 32, 32)
-        assert a.model.values.tobytes() == b.model.values.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
 
     def test_disks_within_bounds(self):
         target = gen_target(TargetSpec(kind="disks", cap=0.02), 40, 40)
-        v = target.model.values
+        v = target.values
         assert v.min() == -0.02
         assert v.max() <= 0.0
 
     def test_from_file_round_trip(self, tmp_path):
         target = gen_target(TargetSpec(kind="face", cap=0.05), 32, 32)
         path = tmp_path / "t.modl"
-        fileio.write_model(path, target.model)
+        fileio.write_model(path, target)
         spec = TargetSpec(kind="from-file", cap=0.05, file=str(path))
         back = gen_target(spec, 32, 32)
-        assert back.model.values.tobytes() == target.model.values.tobytes()
+        assert back.values.tobytes() == target.values.tobytes()
 
     def test_from_file_dimension_mismatch(self, tmp_path):
         target = gen_target(TargetSpec(kind="face", cap=0.05), 32, 32)
         path = tmp_path / "t.modl"
-        fileio.write_model(path, target.model)
+        fileio.write_model(path, target)
         with pytest.raises(ConfigError, match="32x32"):
             gen_target(TargetSpec(kind="from-file", cap=0.05,
                                   file=str(path)), 20, 20)
 
     def test_from_file_cap_violation(self, tmp_path):
         path = tmp_path / "hot.modl"
-        fileio.write_model(path, ModelGrid(np.full(18 * 18, -0.2), 18, 18))
-        with pytest.raises(ValueError, match="cap"):
-            gen_target(TargetSpec(kind="from-file", cap=0.05,
-                                  file=str(path)), 18, 18)
+        # below -cap, and above 0
+        for value in (-0.2, 0.01):
+            fileio.write_model(path, ModelGrid(np.full(18 * 18, value), 18, 18))
+            with pytest.raises(ValueError, match=r"\[-cap, 0\]"):
+                gen_target(TargetSpec(kind="from-file", cap=0.05,
+                                      file=str(path)), 18, 18)
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigError, match="16x16"):
             gen_target(TargetSpec(kind="face", cap=0.05), 12, 12)
-
-    def test_target_model_invariant(self):
-        with pytest.raises(ValueError, match=r"\[-cap, 0\]"):
-            TargetModel(model=ModelGrid(np.full(18 * 18, 0.01), 18, 18),
-                        cap=0.05)
 
 
 class TestPrepare:
@@ -477,13 +476,13 @@ class TestPrepare:
         n = cfg.geometry.n_sources
         # clean simulation (N) plus the diagonal curvature probe (3N)
         assert exp.setup_solves == 4 * n
-        assert exp.lam > 0 and exp.nu > 0
+        assert exp.lam > 0 and exp.cfg.nu_value() > 0
         assert exp.h0_diag.shape == (cfg.nx * cfg.ny,)
 
     def test_explicit_regularizer_values_pass_through(self):
         exp = prepare_experiment(tiny_config(lam="2.5", nu="1e-9"))
         assert exp.lam == 2.5
-        assert exp.nu == 1e-9
+        assert exp.cfg.nu_value() == 1e-9
 
     def test_problem_instances_have_independent_ledgers(self):
         exp = prepare_experiment(tiny_config())
@@ -624,17 +623,14 @@ class TestRunComparison:
 
     def test_calibrated_lam_outside_float64_runs_no_optimizer(self, tmp_path,
                                                               monkeypatch):
-        # nu = 1e-300 calibrates lam = 2.19e10, whose (lam nu)^2 underflows;
-        # c0 = 1e-300 calibrates lam = nan
+        # nu = 1e-300 calibrates lam = 2.19e10, whose (lam nu)^2 underflows
         monkeypatch.setattr(harness, "run_one",
                             lambda *args: pytest.fail("an optimizer ran"))
-        for overrides, lam in ((dict(nu="1e-300"), r"219\d{8}\.\d+"),
-                               (dict(c0=1e-300), "nan")):
-            cfg = tiny_config(optimizers=("gogn",), **overrides)
-            with pytest.raises(ConfigError, match=(
-                    rf"\[regularizer\] lam = auto calibrated to {lam}, which is "
-                    "out of range")):
-                run_comparison(cfg, tmp_path / "out")
+        cfg = tiny_config(optimizers=("gogn",), nu="1e-300")
+        with pytest.raises(ConfigError, match=(
+                r"\[regularizer\] lam = auto calibrated to 219\d{8}\.\d+, which "
+                "is out of range")):
+            run_comparison(cfg, tmp_path / "out")
 
     def test_too_small_nu_names_the_knob(self, tmp_path):
         # at h^2 nu = 4e-10 gogn's N x N system loses definiteness in float64
@@ -675,6 +671,23 @@ def test_every_optimizer_spends_its_solves_by_kind(monkeypatch, name):
     assert ledger.snapshot() == sweeps[-1]
 
 
+@pytest.mark.parametrize("name", harness.OPTIMIZER_NAMES)
+def test_every_run_is_checked_against_the_formula(monkeypatch, name):
+    # a second gradient sweep that charges one forward solve too many
+    exp = prepare_experiment(tiny_config(optimizers=(name,), budget=60))
+    sweeps = []
+    real = harness.FwiProblem.misfit_and_gradients
+
+    def overcharged(self, *args, **kw):
+        sweeps.append(None)
+        if len(sweeps) == 2:
+            self.ledger.count_forward()
+        return real(self, *args, **kw)
+    monkeypatch.setattr(harness.FwiProblem, "misfit_and_gradients", overcharged)
+    with pytest.raises(RuntimeError, match="accounting violated at iteration 1"):
+        harness.run_one(exp, name)
+
+
 class TestAccountingGuard:
     def test_violation_raises(self):
         from gowave.harness import _check_gradient_only_accounting
@@ -685,14 +698,14 @@ class TestAccountingGuard:
                                grad_norm=1.0, model_error=0.0, step=0.1,
                                ls_evals=evals)
 
-        good = RunResult(name="gogn", status="budget", m_final=np.zeros(4),
-                         records=[rec(0, 4, 0), rec(1, 10, 1)])
+        good = RunResult(name="gogn", status="budget", solves=10,
+                         m_final=np.zeros(4), records=[rec(0, 4, 0), rec(1, 10, 1)])
         _check_gradient_only_accounting(good, 2)
-        bad = RunResult(name="gogn", status="budget", m_final=np.zeros(4),
-                        records=[rec(0, 4, 0), rec(1, 12, 1)])
+        bad = RunResult(name="gogn", status="budget", solves=12,
+                        m_final=np.zeros(4), records=[rec(0, 4, 0), rec(1, 12, 1)])
         with pytest.raises(RuntimeError, match="accounting"):
             _check_gradient_only_accounting(bad, 2)
-        bad_start = RunResult(name="gogn", status="budget",
+        bad_start = RunResult(name="gogn", status="budget", solves=5,
                               m_final=np.zeros(4), records=[rec(0, 5, 0)])
         with pytest.raises(RuntimeError, match="startup"):
             _check_gradient_only_accounting(bad_start, 2)
@@ -734,3 +747,15 @@ print(loaded())
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False", "False", "False"]
+
+
+def test_benchmark_wraps_only_names_that_exist():
+    # perfbench/job.py binds gowave functions and methods by name; deleting
+    # one breaks every traced benchmark job
+    root = Path(__file__).resolve().parents[1]
+    script = (f"import sys; sys.path.insert(0, {str(root / 'perfbench')!r}); "
+              "import job; job.install(job.Recorder(0), True, {})")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,7 @@ import pytest
 
 from gowave import optim
 from gowave.ledger import SolveLedger
-from gowave.optim import (GNCG_RICHARDSON_ITERS, Budget, CurvatureModel,
+from gowave.optim import (GNCG_RICHARDSON_ITERS, CurvatureModel,
                           LinesearchPolicy, admit_curvature_pair, linesearch,
                           run_gncg, run_gogn, run_lbfgs, run_nlcg,
                           two_loop_apply)
@@ -197,20 +197,16 @@ class TestLinesearch:
 
 class TestBudget:
     def test_counts_only_after_creation(self):
-        ledger = SolveLedger()
-        ledger.count_forward(7)
-        budget = Budget(ledger, max_solves=4)
-        assert budget.used() == 0
-        assert not budget.exhausted()
-        ledger.count_adjoint(3)
-        assert budget.used() == 3
-        ledger.count_born()
-        assert budget.used() == 4
-        assert budget.exhausted()
+        prob = make_generic(seed=3)
+        prob.ledger.count_forward(7)
+        res = run_gogn(prob, make_reg(), 4, STEP_CAP)
+        assert res.records[0].solves == 2 * prob.n_sources
+        assert res.solves == prob.ledger.total - 7
 
     def test_validation(self):
+        prob = make_generic(seed=3)
         with pytest.raises(ValueError, match="at least one"):
-            Budget(SolveLedger(), max_solves=0)
+            run_gogn(prob, make_reg(), 0, STEP_CAP)
 
 
 class TestCurvatureModel:
@@ -347,7 +343,7 @@ def test_runs_factor_only_what_they_solve_with(monkeypatch, name, factored):
         return real(*args)
     monkeypatch.setattr(optim, "block_cholesky", block_cholesky)
     prob = make_generic(seed=13)
-    res = run_any(name, prob, make_reg(), Budget(prob.ledger, 60))
+    res = run_any(name, prob, make_reg(), 60)
     assert len(res.records) >= 3
     assert built == factored
 
@@ -396,8 +392,7 @@ class TestConvergence:
         prob = make_generic()
         reg = make_reg()
         m_star, f_star = closed_form(prob, reg)
-        res = run_nlcg(prob, reg, h0_of(prob), Budget(prob.ledger, 10**6),
-                       STEP_CAP)
+        res = run_nlcg(prob, reg, h0_of(prob), 10**6, STEP_CAP)
         assert_monotone(res.records)
         assert res.records[-1].iter <= 60
         f0 = res.records[0].objective
@@ -418,7 +413,7 @@ class TestConvergence:
             seen.append((m.copy(), p.copy()))
             return linesearch(objective, m, p, f0, g0, policy)
         monkeypatch.setattr(optim, "linesearch", recording)
-        run_nlcg(prob, reg, h0_of(prob), Budget(prob.ledger, 60), STEP_CAP)
+        run_nlcg(prob, reg, h0_of(prob), 60, STEP_CAP)
 
         def grad_norm(values):
             report = twin.misfit_and_gradients(ModelGrid(values, NX, NY))
@@ -430,8 +425,7 @@ class TestConvergence:
         prob = make_generic()
         reg = make_reg()
         m_star, f_star = closed_form(prob, reg)
-        res = run_lbfgs(prob, reg, h0_of(prob), Budget(prob.ledger, 10**6),
-                        STEP_CAP)
+        res = run_lbfgs(prob, reg, h0_of(prob), 10**6, STEP_CAP)
         assert_monotone(res.records)
         f0 = res.records[0].objective
         assert abs(res.records[-1].objective - f_star) <= 1e-8 * (f0 - f_star)
@@ -441,7 +435,7 @@ class TestConvergence:
         prob = make_generic()
         reg = make_reg()
         m_star, f_star = closed_form(prob, reg)
-        res = run_gncg(prob, reg, h0_of(prob), Budget(prob.ledger, 10**6))
+        res = run_gncg(prob, reg, h0_of(prob), 10**6)
         assert_monotone(res.records)
         assert res.records[-1].iter <= 30
         f0 = res.records[0].objective
@@ -452,7 +446,7 @@ class TestConvergence:
 
     def test_gncg_first_step_nearly_newton_on_diagonal_toy(self):
         prob = make_diagonal()
-        res = run_gncg(prob, make_reg(), h0_of(prob), Budget(prob.ledger, 60))
+        res = run_gncg(prob, make_reg(), h0_of(prob), 60)
         r0, r1 = res.records[0], res.records[1]
         assert r1.grad_norm <= 1e-6 * r0.grad_norm
         assert r1.extra == "1"
@@ -462,7 +456,7 @@ class TestConvergence:
         prob = make_generic()
         reg = make_reg()
         m_star, f_star = closed_form(prob, reg)
-        res = run_gogn(prob, reg, Budget(prob.ledger, 10**6), STEP_CAP)
+        res = run_gogn(prob, reg, 10**6, STEP_CAP)
         assert_monotone(res.records)
         f0 = res.records[0].objective
         assert abs(res.records[-1].objective - f_star) <= 1e-8 * (f0 - f_star)
@@ -484,7 +478,7 @@ class TestConvergence:
             seen.append((g0, float(np.dot(g, p))))
             return linesearch(objective, m, p, f0, g0, policy)
         monkeypatch.setattr(optim, "linesearch", recording)
-        res = run_gogn(prob, reg, Budget(prob.ledger, 100), STEP_CAP)
+        res = run_gogn(prob, reg, 100, STEP_CAP)
         assert len(seen) == len(res.records) - 1 >= 5
         for g0, expect in seen:
             assert g0 == expect
@@ -493,7 +487,7 @@ class TestConvergence:
 class TestAccountingAndBudget:
     def test_gogn_charges_two_solves_per_source_per_iteration(self):
         prob = make_generic(seed=3)
-        res = run_gogn(prob, make_reg(), Budget(prob.ledger, 200), STEP_CAP)
+        res = run_gogn(prob, make_reg(), 200, STEP_CAP)
         n = prob.n_sources
         assert res.records[0].solves == 2 * n
         for a, b in zip(res.records, res.records[1:]):
@@ -502,7 +496,7 @@ class TestAccountingAndBudget:
     def test_nlcg_charges_gradient_plus_linesearch(self):
         prob = make_generic(seed=4)
         res = run_nlcg(prob, make_reg(), h0_of(prob),
-                       Budget(prob.ledger, 150), STEP_CAP)
+                       150, STEP_CAP)
         n = prob.n_sources
         assert res.records[0].solves == 2 * n
         for a, b in zip(res.records, res.records[1:]):
@@ -511,14 +505,14 @@ class TestAccountingAndBudget:
     def test_lbfgs_charges_gradient_plus_linesearch(self):
         prob = make_generic(seed=5)
         res = run_lbfgs(prob, make_reg(), h0_of(prob),
-                        Budget(prob.ledger, 150), STEP_CAP)
+                        150, STEP_CAP)
         n = prob.n_sources
         for a, b in zip(res.records, res.records[1:]):
             assert b.solves - a.solves == 2 * n + b.ls_evals * n
 
     def test_gncg_charges_hessian_products_too(self):
         prob = make_generic(seed=6)
-        res = run_gncg(prob, make_reg(), h0_of(prob), Budget(prob.ledger, 300))
+        res = run_gncg(prob, make_reg(), h0_of(prob), 300)
         n = prob.n_sources
         assert res.records[0].solves == 2 * n
         for a, b in zip(res.records, res.records[1:]):
@@ -528,14 +522,14 @@ class TestAccountingAndBudget:
     @pytest.mark.parametrize("name", ["nlcg", "lbfgs", "gncg", "gogn"])
     def test_no_iteration_starts_past_budget(self, name):
         prob = make_generic(seed=7)
-        budget = Budget(prob.ledger, max_solves=25)
+        budget = 25
         res = run_any(name, prob, make_reg(), budget)
         assert res.status == "budget"
         recs = res.records
         assert len(recs) >= 2
         for rec in recs[:-1]:  # state at the start of every launched iteration
-            assert rec.solves < budget.max_solves
-        overshoot = recs[-1].solves - budget.max_solves
+            assert rec.solves < budget
+        overshoot = recs[-1].solves - budget
         assert overshoot <= recs[-1].solves - recs[-2].solves
 
     @pytest.mark.parametrize("name", ["nlcg", "lbfgs", "gncg", "gogn"])
@@ -544,7 +538,7 @@ class TestAccountingAndBudget:
         # the gradient is exactly zero and no solves are wasted on trials
         prob = QuadraticProblem(
             [np.eye(P)], np.zeros(P))
-        res = run_any(name, prob, make_reg(), Budget(prob.ledger, 100))
+        res = run_any(name, prob, make_reg(), 100)
         assert res.status == "converged"
         assert len(res.records) == 1
         assert res.records[0].grad_norm == 0.0
@@ -567,7 +561,7 @@ class TestAccountingAndBudget:
                     fields=[object()] * self.n_sources if keep_fields else None)
 
         prob = FlatProblem([np.eye(P)] * 2, np.zeros(P))
-        res = run_any(name, prob, make_reg(), Budget(prob.ledger, 500))
+        res = run_any(name, prob, make_reg(), 500)
         assert res.status == "stalled"
         assert len(res.records) == 1
         n = prob.n_sources
@@ -609,7 +603,7 @@ class TestAccountingAndBudget:
         else:
             monkeypatch.setattr(CurvatureModel, "richardson",
                                 negated(CurvatureModel.richardson))
-        res = run_any(name, prob, reg, Budget(prob.ledger, 100))
+        res = run_any(name, prob, reg, 100)
         assert res.status == "stalled"
         assert len(res.records) == 1
         n = prob.n_sources
@@ -637,7 +631,7 @@ class TestAccountingAndBudget:
         prob = IndefiniteHvp(make_generic(seed=8).mats,
                              make_generic(seed=8).target)
         prob.snapshots = []
-        res = run_gncg(prob, make_reg(), h0_of(prob), Budget(prob.ledger, 40))
+        res = run_gncg(prob, make_reg(), h0_of(prob), 40)
         assert len(res.records) >= 2
         # the first product has d^T H d <= 0; its solves are spent, so it counts
         assert res.records[1].extra == "1"
@@ -653,5 +647,5 @@ class TestAccountingAndBudget:
     def test_model_error_is_nan_without_reference_model(self):
         prob = make_generic(seed=12)
         prob.m_true = None
-        res = run_gogn(prob, make_reg(), Budget(prob.ledger, 20), STEP_CAP)
+        res = run_gogn(prob, make_reg(), 20, STEP_CAP)
         assert all(np.isnan(r.model_error) for r in res.records)

@@ -252,13 +252,3 @@ def test_build_rejects_a_spectrum_outside_float64():
     with pytest.raises(ValueError, match="leaves float64"):
         build(8, 8, 1.0, 1.0, 1e-160, np.zeros(64))
     build(8, 8, H, 1e150, NU, np.zeros(64))
-
-
-def test_operator_accepts_model_grids():
-    from gowave.wave import ModelGrid
-
-    m0 = ModelGrid.zeros(8, 8)
-    op = build(8, 8, H, LAM, NU, m0)
-    m = ModelGrid(0.01 * np.ones(64), 8, 8)
-    assert op.value(m) == pytest.approx(0.0, abs=1e-12)  # constant shift is smooth
-    assert op.value(m) == pytest.approx(0.5 * op.mu * 64 * 0.01**2, rel=1e-12)
