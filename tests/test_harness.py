@@ -457,12 +457,19 @@ class TestTarget:
 
     def test_from_file_cap_violation(self, tmp_path):
         path = tmp_path / "hot.modl"
-        # below -cap, and above 0
-        for value in (-0.2, 0.01):
-            fileio.write_model(path, ModelGrid(np.full(18 * 18, value), 18, 18))
-            with pytest.raises(ValueError, match=r"\[-cap, 0\]"):
-                gen_target(TargetSpec(kind="from-file", cap=0.05,
-                                      file=str(path)), 18, 18)
+        fileio.write_model(path, ModelGrid(np.full(18 * 18, -0.2), 18, 18))
+        with pytest.raises(ValueError, match=r"\[-cap, 0\]"):
+            gen_target(TargetSpec(kind="from-file", cap=0.05,
+                                  file=str(path)), 18, 18)
+
+    def test_target_model_invariant(self, tmp_path):
+        # a target above 0 breaks the [-cap, 0] invariant as surely as one
+        # below -cap
+        path = tmp_path / "warm.modl"
+        fileio.write_model(path, ModelGrid(np.full(18 * 18, 0.01), 18, 18))
+        with pytest.raises(ValueError, match=r"\[-cap, 0\]"):
+            gen_target(TargetSpec(kind="from-file", cap=0.05,
+                                  file=str(path)), 18, 18)
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigError, match="16x16"):

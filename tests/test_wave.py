@@ -480,7 +480,15 @@ def test_adjoint_rejects_mismatched_field():
     m_fast = ModelGrid(np.full(m.p, 1.5), grid.nx, grid.ny)
     with pytest.raises(ValueError):
         adjoint_solve(m_fast, traces, fld, grid, led)
-    # so does a field one kept row short of the grid's steps
+    assert led.snapshot().adjoint == 0
+
+
+def test_wavefield_validates_snapshot_count():
+    _, grid, m, src, recv = setup_problem()
+    led = SolveLedger()
+    traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+    # a field one kept row short of the grid's steps is refused before
+    # any solve is counted
     short = Wavefield(scatter=fld.scatter[:-1], substeps=fld.substeps,
                       receiver_cells=fld.receiver_cells)
     with pytest.raises(ValueError, match="different model or grid"):
