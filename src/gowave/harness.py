@@ -100,26 +100,14 @@ class ExperimentConfig:
                 f"one kept forward field would hold {kept / 1e9:.3g} GB, past the "
                 f"{KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit: reduce the grid, "
                 "nt or the substeps (dt * c0 / h)")
-        # the solves square h, dt and c0 (in v = (c0 (1 + m))^2) and divide by
-        # the squares, and nu = auto squares 5 h; a float power raises
-        # OverflowError on an inf product
-        squared = [("h", self.h), ("dt", self.dt), ("c0", self.c0)]
-        if self.nu == "auto":
-            squared.append(("h", 5.0 * self.h))
-        for key, value in squared:
-            if not 0.0 < value * value < np.inf:
-                raise ConfigError(f"grid.{key} = {_get(self, key)!r} is out of range: "
-                                  f"the square of {value!r} is {value * value!r}")
-        if not self.frequency < 0.5 / self.dt:
-            raise ConfigError(f"source.frequency = {self.frequency!r} must lie below "
-                              f"the Nyquist frequency 0.5 / dt = {0.5 / self.dt!r}")
-        # a non-positive frequency is SourceSpec's to reject
-        window = (self.nt - 1) * self.dt
-        if self.frequency > 0.0 and not window > 1.5 / self.frequency:
-            raise ConfigError(
-                f"grid.nt and grid.dt record (nt - 1) * dt = {window!r} s, which ends "
-                f"before the source wavelet peaks at 1.5 / frequency = "
-                f"{1.5 / self.frequency!r} s")
+        try:
+            grid.check_source(SourceSpec((0.0, 0.0), self.frequency))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        five_h = 5.0 * self.h  # nu = auto squares it
+        if self.nu == "auto" and not 0.0 < five_h * five_h < np.inf:
+            raise ConfigError(f"grid.h = {self.h!r} is out of range: "
+                              f"the square of {five_h!r} is {five_h * five_h!r}")
         if self.geometry.kind not in ("uniform", "clustered", "from-file"):
             raise ConfigError(f"unknown geometry kind {self.geometry.kind!r}")
         if self.geometry.kind == "from-file" and not self.geometry.file:
@@ -355,9 +343,9 @@ def gen_geometry(spec: GeometrySpec, extent: tuple, frequency: float) -> Geometr
     return Geometry(sources=sources, receivers=rec)
 
 
-def _soft_mask(excess, taper=2.0):
-    """1 inside a feature, Gaussian falloff outside, hard 0 far away."""
-    s = np.exp(-np.maximum(0.0, excess) ** 2 / (2.0 * taper ** 2))
+def _soft_mask(excess):
+    """1 inside a feature, a 2-cell Gaussian falloff outside, 0 far away."""
+    s = np.exp(-np.maximum(0.0, excess) ** 2 / (2.0 * 2.0 ** 2))
     s[s < 1e-12] = 0.0
     return s
 

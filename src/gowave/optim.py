@@ -248,7 +248,8 @@ class CurvatureModel:
             for _ in range(20):
                 w = self.apply(v)
                 est = float(np.dot(v, w))
-                nw = np.linalg.norm(w)
+                with np.errstate(over="ignore"):  # inf ends in the RuntimeError
+                    nw = np.linalg.norm(w)
                 if nw == 0.0:
                     break
                 v = w / nw

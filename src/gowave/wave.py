@@ -87,6 +87,24 @@ class SimGrid:
             raise ValueError("boundary strength must be non-negative: a negative "
                              "sponge amplifies instead of damping")
 
+    def check_source(self, source: SourceSpec):
+        """Raise ValueError unless a solve of ``source`` on this grid is
+        meaningful. Messages name the config keys that set each value."""
+        # the solves square h, dt and c0 (in v = (c0 (1 + m))^2) and divide
+        # by the squares
+        for key, value in (("h", self.h), ("dt", self.dt_record), ("c0", self.c0)):
+            if not 0.0 < value * value < np.inf:
+                raise ValueError(f"grid.{key} = {value!r} is out of range: "
+                                 f"the square of {value!r} is {value * value!r}")
+        if not source.frequency < 0.5 / self.dt_record:
+            raise ValueError(f"source.frequency = {source.frequency!r} must lie below "
+                             f"the Nyquist frequency 0.5 / dt = {0.5 / self.dt_record!r}")
+        window = (self.nt - 1) * self.dt_record
+        if not window > source.t0:
+            raise ValueError(
+                f"grid.nt and grid.dt record (nt - 1) * dt = {window!r} s, which ends "
+                f"before the source wavelet peaks at 1.5 / frequency = {source.t0!r} s")
+
     def kept_field_bytes(self) -> int:
         """Bytes of one kept forward field (``Wavefield.scatter``) at the
         start model m = 0."""
@@ -154,7 +172,7 @@ class SourceSpec:
 
     def __post_init__(self):
         if self.frequency <= 0:
-            raise ValueError("source frequency must be positive")
+            raise ValueError(f"source.frequency = {self.frequency!r} must be positive")
 
     @property
     def t0(self) -> float:
@@ -435,8 +453,10 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     """Run one forward wave simulation and sample it at the receivers.
 
     Returns (traces, wavefield); traces has shape (n_r, nt) and wavefield is
-    None unless keep_field is set. Counts one forward solve on the ledger.
+    None unless keep_field is set. Counts one forward solve on the ledger,
+    once ``grid.check_source(source)`` has passed.
     """
+    grid.check_source(source)
     ws = _Workspace(model, grid, receivers)
     cell = ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0]
     # 12 h^2 f: the point source f = ricker / h^2 in sigma units

@@ -188,7 +188,6 @@ def probe_cfg_file(tmp_path, optimizers):
     return path
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_curvature_overflow_fails_gncg_and_exits_3(tmp_path):
     # gncg's power iteration overflowed to a zero estimate and raised
     # ZeroDivisionError, a traceback

@@ -99,6 +99,9 @@ class TestConfig:
             ExperimentConfig(ls_step_cap=0.0).validate()
         with pytest.raises(ConfigError, match="repeated optimizers"):
             ExperimentConfig(optimizers=("gogn", "gogn")).validate()
+        for frequency in (0.0, -0.1):
+            with pytest.raises(ConfigError, match="source.frequency"):
+                ExperimentConfig(frequency=frequency).validate()
 
     def test_random_configs_round_trip_bytewise(self, tmp_path):
         rng = random.Random(10)

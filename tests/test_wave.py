@@ -556,6 +556,48 @@ def test_source_outside_domain_rejected():
         forward_solve(ModelGrid.zeros(grid.nx, grid.ny), src, [], grid, SolveLedger())
 
 
+def config_grid(**kw):
+    # the grid of the config tests' tiny_config
+    base = dict(nx=20, ny=20, h=8000.0, c0=3150.0, dt_record=1.0, nt=50,
+                boundary_width=8)
+    base.update(kw)
+    return SimGrid(**base)
+
+
+@pytest.mark.parametrize("gridkw, frequency, shown", [
+    (dict(h=1e155), 0.1, "grid.h = 1e+155"),
+    (dict(c0=1e-300, dt_record=1e160), 0.1, "grid.dt = 1e+160"),
+    (dict(dt_record=1e-300), 0.1, "grid.dt = 1e-300"),
+    (dict(c0=1e-300), 0.1, "grid.c0 = 1e-300"),
+    (dict(h=float("nan")), 0.1, "grid.h = nan"),
+    (dict(), 1e300, "source.frequency = 1e+300 must lie below the Nyquist "
+                    "frequency 0.5 / dt = 0.5"),
+    (dict(), 0.5, "source.frequency = 0.5 must lie below the Nyquist "
+                  "frequency 0.5 / dt = 0.5"),
+    (dict(dt_record=1e-160), 0.1,
+     "ends before the source wavelet peaks at 1.5 / frequency = 15.0 s"),
+    # 16 samples record exactly the 15 s delay
+    (dict(nt=16), 0.1, "wavelet peaks"),
+])
+def test_forward_solve_rejects_inadmissible_grid_before_counting(gridkw, frequency,
+                                                                  shown):
+    # unchecked, each case would solve on all-zero traces or raise
+    # OverflowError or a NaN-to-integer error inside the solve
+    grid = config_grid(**gridkw)
+    led = SolveLedger()
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        forward_solve(ModelGrid.zeros(grid.nx, grid.ny),
+                      SourceSpec((0.0, 0.0), frequency), [(0.0, 0.0)], grid, led)
+    assert led.total == 0
+
+
+def test_forward_solve_accepts_a_window_past_the_wavelet_delay():
+    grid, led = config_grid(nt=17), SolveLedger()
+    forward_solve(ModelGrid.zeros(grid.nx, grid.ny), SourceSpec((0.0, 0.0), 0.1),
+                  [(0.0, 0.0)], grid, led)
+    assert led.total == 1
+
+
 def test_snap_rounds_to_nearest_cell():
     grid = small_grid()
     lx, ly = grid.extent
