@@ -28,11 +28,14 @@ class GoJacobian:
 
     rows: np.ndarray     # (N, p)
     rho: np.ndarray      # (N,)
-    active: np.ndarray   # (N,) bool
+
+    @property
+    def active(self) -> np.ndarray:  # exactly fit sources have rho_i = 0
+        return self.rho > 0.0
 
     @property
     def n_active(self) -> int:
-        return int(self.active.sum())
+        return int(np.count_nonzero(self.active))
 
 
 @dataclass
@@ -40,26 +43,24 @@ class GognStep:
     """A computed step direction with its small-system diagnostics."""
 
     p: np.ndarray
-    n_small: int
+    n_small: int         # active rows; 0: the pure regularization pull p = -delta
     cond_estimate: float
-    fallback: bool = False
 
 
 def assemble(report) -> GoJacobian:
     """Build the gradient-only Jacobian from a misfit report.
 
     Sources with phi_i > 0 contribute row grad(phi_i) / sqrt(2 phi_i), which
-    is finite (if large) for any phi_i > 0; exactly fit sources get zero rows
-    and are marked inactive. Consumes no PDE solves.
+    is finite (if large) for any phi_i > 0; exactly fit sources get a zero
+    row and rho_i = 0. Consumes no PDE solves.
     """
     phi = np.asarray(report.phi, dtype=np.float64)
     grads = np.asarray(report.gradients, dtype=np.float64)
     active = phi > 0.0
     rho = np.where(active, np.sqrt(2.0 * phi), 0.0)
     rows = np.zeros_like(grads)
-    if np.any(active):
-        rows[active] = grads[active] / rho[active, None]
-    return GoJacobian(rows=rows, rho=rho, active=active)
+    rows[active] = grads[active] / rho[active, None]
+    return GoJacobian(rows=rows, rho=rho)
 
 
 def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
@@ -67,21 +68,15 @@ def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
 
     p = A J^T S (J delta - rho) - delta with A = (D^T D)^{-1} applied by
     the regularizer's spectral solve and S = (I + J A J^T)^{-1} solved
-    densely (N x N Cholesky). With no active rows the step degenerates to
-    the pure regularization pull p = -delta, flagged as a fallback. No PDE
-    solves.
+    densely (N x N Cholesky). An exactly fit source's zero row adds an
+    identity row and column to S^{-1} and a zero to J delta - rho, so it
+    leaves p as it is; with every row zero, p = -delta, the pure
+    regularization pull, and cond(S^{-1}) = cond(I) = 1. No PDE solves.
     """
     delta = np.asarray(m_k, dtype=np.float64).ravel() - reg.m0
 
-    if J.n_active == 0:
-        return GognStep(p=-delta, n_small=0, cond_estimate=1.0, fallback=True)
-
-    rows = J.rows[J.active]
-    rho = J.rho[J.active]
-    n_a = rows.shape[0]
-
-    ajt = np.column_stack([reg.solve_normal(rows[i]) for i in range(n_a)])
-    small = np.eye(n_a) + rows @ ajt  # I + J A J^T, SPD by construction
+    ajt = np.column_stack([reg.solve_normal(row) for row in J.rows])
+    small = np.eye(len(J.rows)) + J.rows @ ajt  # I + J A J^T, SPD by construction
     try:
         chol = np.linalg.cholesky(small)  # small = chol chol^T
     except np.linalg.LinAlgError as exc:
@@ -92,6 +87,6 @@ def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
             f"cond(D^T D) ~ {cond_dtd:.3e} at h^2 nu = {reg.h**2 * reg.nu:.3e} "
             "is too large for float64; raise [regularizer] nu"
         ) from exc
-    y = np.linalg.solve(chol.T, np.linalg.solve(chol, rows @ delta - rho))
-    return GognStep(p=ajt @ y - delta, n_small=n_a,
+    y = np.linalg.solve(chol.T, np.linalg.solve(chol, J.rows @ delta - J.rho))
+    return GognStep(p=ajt @ y - delta, n_small=J.n_active,
                     cond_estimate=float(np.linalg.cond(small)))

@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .gogn import assemble, step_woodbury
-from .wave import ModelGrid
+from .wave import ModelGrid, mapped_zeros
 
 # Fixed optimizer settings; no config key reaches them.
 LBFGS_MEMORY = 10            # (s, y) pairs kept by L-BFGS
@@ -143,8 +143,8 @@ def block_cholesky(bands: dict, width: int) -> list:
     Returns one (inverse of L's diagonal block, L's block below it) pair per
     block, the last with None below. Only matrix-vector products are used,
     one column or row at a time, so the factor's bytes do not depend on the
-    BLAS thread count. Raises np.linalg.LinAlgError on a pivot that is not
-    positive.
+    BLAS thread count; the blocks kept are ``wave.mapped_zeros`` arrays.
+    Raises np.linalg.LinAlgError on a pivot that is not positive.
     """
     p = bands[0].size
     factor = []
@@ -159,7 +159,7 @@ def block_cholesky(bands: dict, width: int) -> list:
                     f"curvature model not positive definite: pivot {col[0]:.3e} "
                     f"at row {start + j}")
             chol[j:, j] = col / np.sqrt(col[0])
-        inv = np.zeros((n, n))
+        inv = mapped_zeros((n, n))
         for i in range(n):
             inv[i, :i] = -(chol[i, :i] @ inv[:i, :i]) / chol[i, i]
             inv[i, i] = 1.0 / chol[i, i]
@@ -170,7 +170,7 @@ def block_cholesky(bands: dict, width: int) -> list:
         m = min(width, p - nxt)
         coupling = _dense_block(bands, nxt, start, m, n)
         # the block of L below: coupling @ inv^T, one column at a time
-        below = np.zeros((m, n))
+        below = mapped_zeros((m, n))
         for j in range(n):
             below[:, j] = coupling[:, :j + 1] @ inv[j, :j + 1]
         factor.append((inv, below))

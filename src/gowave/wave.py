@@ -188,10 +188,11 @@ class Wavefield:
     ``scatter[n]`` is ``sigma^n = 12 h^2 (lap(u^n) - f^n)`` on the padded
     grid (interior + sponge): the Laplacian of the field at internal time
     n * dt, with the point source already subtracted, in the march's units,
-    exactly as the forward step formed it (dt = dt_record / substeps). A
-    model perturbation dv scatters the wave through ``dv * scatter[n] /
-    (12 h^2)``, so the adjoint correlates against it and the Born sweep is
-    driven by it without touching the forward field again.
+    exactly as the forward step formed it on ``model`` (dt = dt_record /
+    substeps, so there are substeps * (nt - 1) rows). A model perturbation
+    dv scatters the wave through ``dv * scatter[n] / (12 h^2)``, so the
+    adjoint correlates against it and the Born sweep is driven by it
+    without touching the forward field again.
 
     Each ``scatter[n]`` is stored in the march's band layout: the padded
     rows at full width, with _HALO columns on either side. The halo columns
@@ -200,7 +201,7 @@ class Wavefield:
     """
 
     scatter: np.ndarray            # (n_steps, nxp, nyp + 2 * _HALO)
-    substeps: int
+    model: ModelGrid
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
 
 
@@ -260,12 +261,13 @@ def _sigma(ops, p: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 if hasattr(mmap, "MAP_ANONYMOUS"):
-    def _kept_rows(shape) -> np.ndarray:
-        """An uninitialised float64 array in an anonymous mapping of its own.
+    def mapped_zeros(shape) -> np.ndarray:
+        """A zero float64 array in an anonymous mapping of its own.
 
-        Dropping the array unmaps it, so a kept field's pages go back to the
-        system at once instead of staying in malloc's heap. Huge pages are
-        asked for, as numpy does for its own arrays of 4 MB and more.
+        Dropping the array unmaps it, so a kept field's or a curvature
+        factor's pages go back to the system at once instead of staying in
+        malloc's heap. Huge pages are asked for, as numpy does for its own
+        arrays of 4 MB and more.
         """
         mm = mmap.mmap(-1, 8 * math.prod(shape),
                        flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
@@ -273,7 +275,7 @@ if hasattr(mmap, "MAP_ANONYMOUS"):
             mm.madvise(mmap.MADV_HUGEPAGE)
         return np.frombuffer(mm, dtype=np.float64).reshape(shape)
 else:
-    _kept_rows = np.empty
+    mapped_zeros = np.zeros
 
 
 def _fold_edge(padded: np.ndarray, pad: int) -> np.ndarray:
@@ -319,7 +321,7 @@ class _Workspace:
     def __init__(self, model: ModelGrid, grid: SimGrid, receivers=()):
         if model.nx != grid.nx or model.ny != grid.ny:
             raise ValueError("model shape does not match the simulation grid")
-        self.grid = grid
+        self.model, self.grid = model, grid
         self.bw = grid.boundary_width
         self.k = cfl_substeps(model, grid)
         self.dt = grid.dt_record / self.k
@@ -370,18 +372,18 @@ class _Workspace:
         self.inside(band)[...] = x
         return band
 
-    def model_chain(self, model: ModelGrid) -> np.ndarray:
+    def model_chain(self) -> np.ndarray:
         """d(v_padded)/dm diagonal factor on the interior: 2 c0^2 (1 + m)."""
-        return 2.0 * self.grid.c0**2 * (1.0 + model.as_2d())
+        return 2.0 * self.grid.c0**2 * (1.0 + self.model.as_2d())
 
     def band_offsets(self, cells: np.ndarray) -> np.ndarray:
         """Offsets of (n, 2) padded-grid cells within a band."""
         return cells[:, 0] * self.width + cells[:, 1] + _HALO
 
     def check_field(self, field: Wavefield) -> np.ndarray:
-        """Check that ``field`` fits this model and grid; return its
-        scattering source as (n_steps, band size) rows."""
-        if field.substeps != self.k or \
+        """Check that ``field`` was kept on this model and fits this grid;
+        return its scattering source as (n_steps, band size) rows."""
+        if not np.array_equal(field.model.values, self.model.values) or \
                 field.scatter.shape != (self.n_steps, self.shape[0], self.width):
             raise ValueError("forward field was produced with a different model or grid")
         return field.scatter.reshape(self.n_steps, -1)
@@ -427,24 +429,25 @@ class _Workspace:
         ops_prev, ops = self.operands(u_prev), self.operands(u)
         p, tmp = np.empty(C.size), np.empty(C.size)
 
-        for n in range(self.n_steps):
-            _stencil(ops, p)
-            extra = excite(n, p, u)
-            if kept is not None:
-                _sigma(ops, p, kept[n])
-            # u^{n+1} in u^{n-1}'s buffer
-            nxt = ops_prev[0]
-            nxt *= AB
-            np.multiply(E, ops[0], out=tmp)
-            np.subtract(tmp, nxt, out=nxt)
-            p *= C
-            nxt += p
-            if extra is not None:
-                nxt += extra
-            u_prev, u, ops_prev, ops = u, u_prev, ops, ops_prev
-            if (n + 1) % k == 0:
-                self.guard(ops[0], n + 1, what)
-                traces[:, (n + 1) // k] = u[cells]
+        with np.errstate(over="ignore", invalid="ignore"):  # guard reports a blow-up
+            for n in range(self.n_steps):
+                _stencil(ops, p)
+                extra = excite(n, p, u)
+                if kept is not None:
+                    _sigma(ops, p, kept[n])
+                # u^{n+1} in u^{n-1}'s buffer
+                nxt = ops_prev[0]
+                nxt *= AB
+                np.multiply(E, ops[0], out=tmp)
+                np.subtract(tmp, nxt, out=nxt)
+                p *= C
+                nxt += p
+                if extra is not None:
+                    nxt += extra
+                u_prev, u, ops_prev, ops = u, u_prev, ops, ops_prev
+                if (n + 1) % k == 0:
+                    self.guard(ops[0], n + 1, what)
+                    traces[:, (n + 1) // k] = u[cells]
         return traces, u
 
 
@@ -461,7 +464,7 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     cell = ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0]
     # 12 h^2 f: the point source f = ricker / h^2 in sigma units
     f = 12.0 * ricker(ws.dt * np.arange(ws.n_steps), source.frequency, source.t0)
-    scatter = _kept_rows((ws.n_steps, ws.shape[0], ws.width)) if keep_field else None
+    scatter = mapped_zeros((ws.n_steps, ws.shape[0], ws.width)) if keep_field else None
 
     def excite(n, p, u):
         p[cell] -= f[n]
@@ -469,11 +472,11 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     traces, _ = ws.march(excite, "field",
                          None if scatter is None else scatter.reshape(ws.n_steps, -1))
     ledger.count_forward()
-    wavefield = None
-    if keep_field:
-        wavefield = Wavefield(scatter=scatter, substeps=ws.k,
-                              receiver_cells=ws.receiver_cells)
-    return traces, wavefield
+    if not keep_field:
+        return traces, None
+    # a copy: an in-place edit of the caller's model must not pass check_field
+    own = ModelGrid(model.values.copy(), model.nx, model.ny)
+    return traces, Wavefield(scatter=scatter, model=own, receiver_cells=ws.receiver_cells)
 
 
 def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
@@ -523,7 +526,7 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     _, last = ws.march(excite, "time-reversed adjoint field")
     image(last, 1)
     scale = ws.dt**2 / (12.0 * grid.h**2)
-    grad = ws.model_chain(model) * _fold_edge(scale * ws.inside(gv) / ws.v, ws.bw)
+    grad = ws.model_chain() * _fold_edge(scale * ws.inside(gv) / ws.v, ws.bw)
     ledger.count_adjoint()
     return grad.ravel()
 
@@ -534,17 +537,19 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
 
     Propagates the single-scattered field that the model perturbation
     generates from the stored forward scattering source, and samples it at
-    the receivers. ``source`` is the source the forward field was computed
-    for; its wavelet is already part of ``forward_field.scatter``, so it is
-    not read here. Counts one Born solve.
+    the receivers. ``source`` and ``receivers`` are those the forward field
+    was computed for: the wavelet is already part of ``forward_field.scatter``,
+    and other receivers are refused. Counts one Born solve.
     """
     direction = np.asarray(direction, dtype=np.float64).ravel()
     if direction.size != model.p:
         raise ValueError(f"direction has {direction.size} entries, expected {model.p}")
     ws = _Workspace(model, grid, receivers)
+    if not np.array_equal(ws.receiver_cells, forward_field.receiver_cells):
+        raise ValueError("receivers differ from those the forward field was kept for")
     scatter = ws.check_field(forward_field)
 
-    dv = np.pad(ws.model_chain(model) * direction.reshape(model.nx, model.ny),
+    dv = np.pad(ws.model_chain() * direction.reshape(model.nx, model.ny),
                 ws.bw, mode="edge")
     # E u^n + C P differentiated along dv, with C = c_per_v v: c_per_v dv sigma^n
     kick = ws.coef(ws.c_per_v * dv)

@@ -19,23 +19,14 @@ def step_dense_oracle(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
         raise ValueError(f"dense oracle limited to 2000 parameters, got {values.size}")
     delta = values - reg.m0
 
-    rows = J.rows[J.active]
     dtd = (reg.D.T @ reg.D).toarray()
-    hess = rows.T @ rows + dtd
+    hess = J.rows.T @ J.rows + dtd
     grad = J.rows.T @ J.rho + reg.hess_vec(delta)
     p = np.linalg.solve(hess, -grad)
 
-    if rows.shape[0] > 0:
-        small = np.eye(rows.shape[0]) + rows @ np.linalg.solve(dtd, rows.T)
-        cond = float(np.linalg.cond(small))
-    else:
-        cond = 1.0
-    return GognStep(
-        p=p,
-        n_small=rows.shape[0],
-        cond_estimate=cond,
-        fallback=J.n_active == 0,
-    )
+    small = np.eye(len(J.rows)) + J.rows @ np.linalg.solve(dtd, J.rows.T)
+    return GognStep(p=p, n_small=J.n_active,
+                    cond_estimate=float(np.linalg.cond(small)))
 
 
 def solve_normal_oracle(reg: SmoothingOperator, b: np.ndarray) -> np.ndarray:

@@ -63,6 +63,9 @@ def test_assemble_zero_misfit_rows_inactive():
     assert list(J.active) == [False, True, False]
     assert np.all(J.rows[0] == 0.0) and np.all(J.rows[2] == 0.0)
     assert J.rho[0] == 0.0 and J.n_active == 1
+    # activity is read from rho, not held beside it
+    with pytest.raises(AttributeError):
+        J.active = np.ones(3, bool)
 
 
 # -- step correctness --------------------------------------------------------
@@ -86,6 +89,8 @@ def test_woodbury_matches_dense_with_inactive_rows():
     pd = step_dense_oracle(J, m_k, reg)
     assert pw.n_small == 3
     np.testing.assert_allclose(pw.p, pd.p, rtol=1e-8)
+    # the zero rows stay in the N x N system whose condition is reported
+    assert pw.cond_estimate == pytest.approx(pd.cond_estimate, rel=1e-8)
 
 
 def test_single_row_matches_sherman_morrison():
@@ -115,8 +120,8 @@ def test_all_inactive_falls_back_to_regularization_pull():
     reg, report, m_k = synthetic_instance(1, n=4, inactive=4)
     J = assemble(report)
     step = step_woodbury(J, m_k, reg)
-    assert step.fallback
     assert step.n_small == 0
+    assert step.cond_estimate == 1.0  # cond(I)
     np.testing.assert_array_equal(step.p, -(m_k - reg.m0))
     grad = J.rows.T @ J.rho + reg.hess_vec(m_k - reg.m0)
     assert float(grad @ step.p) < 0
@@ -126,7 +131,7 @@ def test_all_inactive_at_reference_model_gives_zero_step():
     reg, report, _ = synthetic_instance(2, n=3, inactive=3)
     J = assemble(report)
     step = step_woodbury(J, reg.m0.copy(), reg)
-    assert step.fallback
+    assert step.n_small == 0
     np.testing.assert_array_equal(step.p, np.zeros(reg.p))
     grad = J.rows.T @ J.rho + reg.hess_vec(np.zeros(reg.p))
     assert float(grad @ step.p) == 0.0
@@ -194,5 +199,5 @@ def test_assembly_and_step_consume_no_solves():
 def test_dense_oracle_size_guard():
     reg, _, _ = synthetic_instance(0, nx=10, ny=20)
     with pytest.raises(ValueError, match="2000"):
-        step_dense_oracle(GoJacobian(rows=np.zeros((1, 4000)), rho=np.ones(1),
-                                     active=np.ones(1, bool)), np.zeros(4000), reg)
+        step_dense_oracle(GoJacobian(rows=np.zeros((1, 4000)), rho=np.ones(1)),
+                          np.zeros(4000), reg)

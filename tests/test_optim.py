@@ -294,6 +294,29 @@ def test_factor_bytes_are_counted_before_the_factor(nx, ny):
     assert optim.curvature_factor_nbytes(1024, 64) == 134_086_656
 
 
+def test_dropped_factor_returns_its_memory():
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("needs /proc/self/statm")
+    page = os.sysconf("SC_PAGE_SIZE")
+
+    def rss():
+        return int(statm.read_text().split()[1]) * page
+
+    # desk's factor is 125 blocks of 128 KiB, glibc's first mmap threshold.
+    # Once a larger free has raised the threshold, blocks from malloc's
+    # heap would stay resident under a later allocation.
+    h0, reg = desk_like_curvature(64, 64)
+    np.zeros(1 << 16)  # freed at once: 512 KiB
+    curv = CurvatureModel(h0, reg)
+    curv.solve(np.ones(h0.size))
+    later = np.ones(25_000)
+    held = rss()
+    del curv
+    assert held - rss() >= 0.9 * optim.curvature_factor_nbytes(64, 64)
+    assert later.sum() == 25_000.0
+
+
 def test_indefinite_matrix_fails_the_factor():
     # D^T D - 2 mu I has one negative eigenvalue, the constant mode's, so
     # every leading block is definite and a late pivot turns negative

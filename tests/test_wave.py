@@ -376,7 +376,7 @@ def test_adjoint_matches_reference_transpose_loop(gridkw, extra_recv):
     recv += cells(grid, *extra_recv)  # a duplicate receiver injects twice
     led = SolveLedger()
     traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
-    assert fld.substeps == 3
+    assert fld.scatter.shape[0] == 3 * (grid.nt - 1)  # three substeps
     q = rng.standard_normal(traces.shape)
     ref = adjoint_reference(m, q, fld, grid)
     g = adjoint_solve(m, q, fld, grid, led)
@@ -454,10 +454,13 @@ def test_adjoint_guard_raises_on_non_finite_field():
     _, grid, m, src, recv = setup_problem()
     led = SolveLedger()
     traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
-    resid = traces.copy()
-    resid[1, grid.nt // 2] = np.nan
-    with pytest.raises(SolverBlowupError, match="unstable"):
-        adjoint_solve(m, resid, fld, grid, led)
+    # 1e160 passes float64 but its square does not: the guard's sum of
+    # squares overflows, and that must end in the error, not a warning
+    for bad in (np.nan, 1e160):
+        resid = traces.copy()
+        resid[1, grid.nt // 2] = bad
+        with pytest.raises(SolverBlowupError, match="unstable"):
+            adjoint_solve(m, resid, fld, grid, led)
     assert led.snapshot().adjoint == 0
 
 
@@ -483,13 +486,45 @@ def test_adjoint_rejects_mismatched_field():
     assert led.snapshot().adjoint == 0
 
 
+def test_field_kept_on_another_model_with_equal_substeps_is_refused():
+    rng, grid, m, src, recv = setup_problem()
+    led = SolveLedger()
+    traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+    other = ModelGrid(m.values - 0.05, grid.nx, grid.ny)
+    assert cfl_substeps(other, grid) == cfl_substeps(m, grid)
+    before = led.snapshot()
+    with pytest.raises(ValueError, match="different model or grid"):
+        adjoint_solve(other, traces, fld, grid, led)
+    with pytest.raises(ValueError, match="different model or grid"):
+        born_solve(other, rng.standard_normal(m.p), src, recv, grid, fld, led)
+    # the field holds its own copy, so editing the solved model in place
+    # does not make the field pass for the edited one
+    m.values -= 0.05
+    with pytest.raises(ValueError, match="different model or grid"):
+        adjoint_solve(m, traces, fld, grid, led)
+    assert led.snapshot() == before
+
+
+def test_born_refuses_receivers_other_than_the_fields():
+    rng, grid, m, src, recv = setup_problem()
+    led = SolveLedger()
+    _, fld = forward_solve(m, src, recv[:2], grid, led, keep_field=True)
+    before = led.snapshot()
+    direction = rng.standard_normal(m.p)
+    for other in (recv, recv[1::-1], cells(grid, (3, 4), (20, 16))):
+        with pytest.raises(ValueError, match="receivers differ"):
+            born_solve(m, direction, src, other, grid, fld, led)
+    assert led.snapshot() == before
+    assert born_solve(m, direction, src, recv[:2], grid, fld, led).shape == (2, grid.nt)
+
+
 def test_wavefield_validates_snapshot_count():
     _, grid, m, src, recv = setup_problem()
     led = SolveLedger()
     traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
     # a field one kept row short of the grid's steps is refused before
     # any solve is counted
-    short = Wavefield(scatter=fld.scatter[:-1], substeps=fld.substeps,
+    short = Wavefield(scatter=fld.scatter[:-1], model=fld.model,
                       receiver_cells=fld.receiver_cells)
     with pytest.raises(ValueError, match="different model or grid"):
         adjoint_solve(m, traces, short, grid, led)
