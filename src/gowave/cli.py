@@ -17,12 +17,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import fileio
 from .harness import (ConfigError, ExperimentConfig, load_config,
-                      run_comparison, render_file, write_data_dir,
-                      OPTIMIZER_NAMES)
+                      run_comparison, write_data_dir, OPTIMIZER_NAMES)
 
 
-def _experiment_flags(sub, with_optimizer=False, with_threads=False):
+def _experiment_flags(sub):
     sub.add_argument("--config", metavar="PATH",
                      help="experiment config file (defaults used if omitted)")
     sub.add_argument("--seed", type=int, metavar="INT",
@@ -33,12 +33,7 @@ def _experiment_flags(sub, with_optimizer=False, with_threads=False):
                      help="override the noise level")
     sub.add_argument("--budget", type=int, metavar="INT",
                      help="override the PDE-solve budget per run")
-    if with_optimizer:
-        sub.add_argument("--optimizer", choices=OPTIMIZER_NAMES,
-                         required=True, help="optimizer to run")
-    if with_threads:
-        sub.add_argument("--threads", type=int, metavar="INT",
-                         help="run optimizers in parallel threads")
+    return sub
 
 
 def build_parser():
@@ -49,10 +44,11 @@ def build_parser():
 
     _experiment_flags(sub.add_parser(
         "make-data", help="write target, geometry, and observed data"))
+    _experiment_flags(sub.add_parser("invert", help="run one optimizer")).add_argument(
+        "--optimizer", choices=OPTIMIZER_NAMES, required=True, help="optimizer to run")
     _experiment_flags(sub.add_parser(
-        "invert", help="run one optimizer"), with_optimizer=True)
-    _experiment_flags(sub.add_parser(
-        "compare", help="run all configured optimizers"), with_threads=True)
+        "compare", help="run all configured optimizers")).add_argument(
+        "--threads", type=int, metavar="INT", help="run optimizers in parallel threads")
 
     render = sub.add_parser("render", help="render a model grid to PGM")
     render.add_argument("grid", metavar="GRID", help="input model file")
@@ -82,8 +78,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "render":
-            render_file(args.grid, args.out or str(Path(args.grid).with_suffix(".pgm")),
-                        args.vrange)
+            fileio.write_pgm(args.out or Path(args.grid).with_suffix(".pgm"),
+                             fileio.read_model(args.grid).as_2d(), args.vrange)
             return 0
         cfg = _load(args)
         if args.command == "make-data":

@@ -7,21 +7,23 @@ Binary layouts are little-endian regardless of host byte order:
 * trace files:     magic ``SEIS``, n_r, n_t as int32, then the (n_r, n_t)
                    float64 trace block row-major.
 
-Trace CSVs carry one row per accepted iterate with the fixed column order
-``iter,solves,objective,grad_norm,model_error,step,ls_evals,extra``; floats
-are written with shortest round-trip formatting so identical runs produce
-identical bytes.
+Trace CSVs carry one row per accepted iterate, one column per field of
+``optim.TraceRecord`` in field order, each parsed back as its declared type;
+floats are written with shortest round-trip formatting so identical runs
+produce identical bytes.
 """
 
 import csv
+import typing
+from dataclasses import astuple
 
 import numpy as np
 
 from .optim import TraceRecord
 from .wave import ModelGrid
 
-TRACE_COLUMNS = ("iter", "solves", "objective", "grad_norm", "model_error",
-                 "step", "ls_evals", "extra")
+_TRACE_TYPES = typing.get_type_hints(TraceRecord)  # column -> type, in field order
+TRACE_COLUMNS = tuple(_TRACE_TYPES)
 
 _MODL = b"MODL"
 _SEIS = b"SEIS"
@@ -77,8 +79,8 @@ def write_pgm(path, values: np.ndarray, vrange: float) -> None:
     [-vrange, +vrange] maps linearly onto [0, 255] with ties rounded up, so
     0 renders as 128; out-of-range values clamp. Image width is nx.
     """
-    if vrange <= 0:
-        raise ValueError("value range must be positive")
+    if not 0.0 < vrange < np.inf:
+        raise ValueError(f"value range must be positive and finite, got {vrange!r}")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("expected a 2-d grid")
@@ -95,10 +97,8 @@ def write_trace_csv(path, records) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for r in records:
-            writer.writerow([r.iter, r.solves, repr(float(r.objective)),
-                             repr(float(r.grad_norm)),
-                             repr(float(r.model_error)),
-                             repr(float(r.step)), r.ls_evals, r.extra])
+            writer.writerow([repr(float(v)) if kind is float else v
+                             for kind, v in zip(_TRACE_TYPES.values(), astuple(r))])
 
 
 def read_trace_csv(path):
@@ -111,8 +111,6 @@ def read_trace_csv(path):
         for row in reader:
             if len(row) != len(TRACE_COLUMNS):
                 raise ValueError(f"{path}: malformed row {row}")
-            records.append(TraceRecord(
-                iter=int(row[0]), solves=int(row[1]), objective=float(row[2]),
-                grad_norm=float(row[3]), model_error=float(row[4]),
-                step=float(row[5]), ls_evals=int(row[6]), extra=row[7]))
+            records.append(TraceRecord(*(kind(cell) for kind, cell
+                                         in zip(_TRACE_TYPES.values(), row))))
     return records

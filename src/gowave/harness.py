@@ -13,6 +13,7 @@ into any output.
 import configparser
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -39,6 +40,15 @@ KEPT_FIELD_LIMIT_BYTES = 10**9
 
 class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
+
+
+@contextmanager
+def _config_error(prefix=""):
+    """Re-raise a ValueError from the block as a ConfigError with its text."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from None
 
 
 @dataclass
@@ -100,10 +110,8 @@ class ExperimentConfig:
                 f"one kept forward field would hold {kept / 1e9:.3g} GB, past the "
                 f"{KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit: reduce the grid, "
                 "nt or the substeps (dt * c0 / h)")
-        try:
+        with _config_error():
             grid.check_source(SourceSpec((0.0, 0.0), self.frequency))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         five_h = 5.0 * self.h  # nu = auto squares it
         if self.nu == "auto" and not 0.0 < five_h * five_h < np.inf:
             raise ConfigError(f"grid.h = {self.h!r} is out of range: "
@@ -134,10 +142,8 @@ class ExperimentConfig:
                 f"{' and '.join(factored)} would factor a {factor / 1e9:.3g} GB "
                 f"curvature model, past the {KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB "
                 "limit: reduce the grid or run gogn and gncg only")
-        try:
+        with _config_error("linesearch: "):
             LinesearchPolicy(step_cap=self.ls_step_cap)
-        except ValueError as exc:
-            raise ConfigError(f"linesearch: {exc}") from None
         for key in ("lam", "nu"):
             raw = getattr(self, key)
             try:
@@ -147,11 +153,9 @@ class ExperimentConfig:
                 raise ConfigError(f"regularizer.{key} must be 'auto' or a "
                                   "number") from None
         if self.lam != "auto":
-            try:
+            with _config_error(f"regularizer.lam = {self.lam} and nu = {self.nu} "
+                               "are out of range: "):
                 check_spectrum(float(self.lam), self.nu_value(), self.h)
-            except ValueError as exc:
-                raise ConfigError(f"regularizer.lam = {self.lam} and nu = {self.nu} "
-                                  f"are out of range: {exc}") from None
         return self
 
     def nu_value(self) -> float:
@@ -159,11 +163,9 @@ class ExperimentConfig:
         return 1.0 / (5.0 * self.h) ** 2 if self.nu == "auto" else float(self.nu)
 
     def sim_grid(self) -> SimGrid:
-        try:
+        with _config_error():
             return SimGrid(self.nx, self.ny, self.h, self.c0, self.dt, self.nt,
                            self.boundary_width, self.boundary_strength)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
 
 # Every config key: {section: {key: ExperimentConfig attribute}}, in manifest
@@ -425,11 +427,9 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
     """
     cfg.validate()
     grid = cfg.sim_grid()
-    try:
+    with _config_error():
         geom = gen_geometry(cfg.geometry, grid.extent, cfg.frequency)
         target = gen_target(cfg.target, cfg.nx, cfg.ny)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     setup_ledger = SolveLedger()
     clean = [forward_solve(target, src, geom.receivers, grid,
@@ -449,11 +449,9 @@ def prepare_experiment(cfg: ExperimentConfig) -> Experiment:
         # desk-scale budgets run out mid-descent, not at an over-smoothed
         # stationary point.
         lam = float(0.3 * np.sqrt(np.max(h0_diag)) / (nu + 8.0 / cfg.h**2))
-        try:
+        with _config_error(f"[regularizer] lam = auto calibrated to {lam!r}, "
+                           "which is out of range: "):
             check_spectrum(lam, nu, cfg.h)
-        except ValueError as exc:
-            raise ConfigError(f"[regularizer] lam = auto calibrated to {lam!r}, "
-                              f"which is out of range: {exc}") from None
     else:
         lam = float(cfg.lam)
     return Experiment(cfg=cfg, grid=grid, geom=geom, target=target, data=data,
@@ -607,9 +605,3 @@ def run_comparison(cfg: ExperimentConfig, out_dir):
 
     _write_inputs(out, exp, [""] + result_lines)
     return results
-
-
-def render_file(grid_path, out_path, vrange: float) -> None:
-    """Render a stored model grid to PGM."""
-    model = fileio.read_model(grid_path)
-    fileio.write_pgm(out_path, model.as_2d(), vrange)

@@ -189,8 +189,9 @@ class FwiProblem:
                 keep_field=want_gradients or keep_fields,
             )
             resid = traces - self.data.observed[i]
-            wsq_resid = (self.data.weights[:, i] ** 2)[:, None] * resid
-            phi[i] = 0.5 * float(np.sum(wsq_resid * resid))
+            with np.errstate(over="ignore", invalid="ignore"):  # the adjoint's guard reports it
+                wsq_resid = (self.data.weights[:, i] ** 2)[:, None] * resid
+                phi[i] = 0.5 * float(np.sum(wsq_resid * resid))
             if want_gradients:
                 grads[i] = adjoint_solve(m, wsq_resid, fld, self.grid, self.ledger)
             if keep_fields:

@@ -508,7 +508,8 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
 
     n_steps, k = ws.n_steps, ws.k
     receivers = ws.band_offsets(forward_field.receiver_cells)
-    injected = 12.0 * grid.h**2 * q / ws.dt**2
+    with np.errstate(over="ignore", invalid="ignore"):  # the march's guard reports it
+        injected = 12.0 * grid.h**2 * q / ws.dt**2
     gv = ws.coef(0.0)  # sum_n psi^n sigma[n-1], as a band
     corr = np.empty(gv.size)
 

@@ -29,10 +29,11 @@ def tiny_cfg_file(tmp_path):
 
 def test_compare_writes_artifacts(tiny_cfg_file, tmp_path, capsys):
     out = tmp_path / "cmp"
-    code = main(["compare", "--config", str(tiny_cfg_file), "--out", str(out)])
+    code = main(["compare", "--config", str(tiny_cfg_file), "--out", str(out),
+                 "--threads", "2"])
     assert code == 0
     assert (out / "gogn_trace.csv").exists()
-    assert (out / "manifest.cfg").exists()
+    assert "threads = 2" in (out / "manifest.cfg").read_text().splitlines()
     assert "gogn:" in capsys.readouterr().out
 
 
@@ -78,7 +79,9 @@ def test_render_roundtrip_and_default_name(tmp_path):
     fileio.write_model(grid, ModelGrid(np.zeros(18 * 18), 18, 18))
     assert main(["render", str(grid), "0.05",
                  "--out", str(tmp_path / "m.pgm")]) == 0
-    assert (tmp_path / "m.pgm").read_bytes().startswith(b"P5\n18 18\n255\n")
+    raw = (tmp_path / "m.pgm").read_bytes()
+    assert raw.startswith(b"P5\n18 18\n255\n")
+    assert set(raw.split(b"\n", 3)[3]) == {128}
     assert main(["render", str(grid), "0.05"]) == 0
     assert (tmp_path / "m.pgm").exists()
 
@@ -103,6 +106,12 @@ def test_config_errors_exit_2(tmp_path):
     junk = tmp_path / "junk.modl"
     junk.write_bytes(b"JUNKJUNKJUNK")
     assert main(["render", str(junk), "0.05"]) == 2
+    # a range that is not finite would render every pixel black
+    grid = tmp_path / "m.modl"
+    fileio.write_model(grid, ModelGrid(np.zeros(20 * 20), 20, 20))
+    for vrange in ("nan", "inf"):
+        assert main(["render", str(grid), vrange]) == 2
+    assert not (tmp_path / "m.pgm").exists()
 
 
 def test_bad_numbers_exit_2_before_any_solve(tiny_cfg_file, tmp_path,
@@ -210,6 +219,15 @@ def test_printed_solves_match_the_manifest(tmp_path, capsys):
                                (out / "manifest.cfg").read_text(), re.M))
     assert printed == manifest and len(printed) == 3
     assert printed["gogn"] != "4"
+
+
+def test_residual_overflow_fails_gogn_and_exits_3(tiny_cfg_file, tmp_path):
+    # sigma = 1e300 overflows the weighted residual and its square outside
+    # the march: the adjoint's guard must end the run, with no numpy warning
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(tiny_cfg_file), "--out", str(out),
+                 "--sigma", "1e300", "--budget", "20"]) == 3
+    assert "gogn_status = failed (SolverBlowupError" in (out / "manifest.cfg").read_text()
 
 
 def test_installed_entry_point(tmp_path):

@@ -1,5 +1,7 @@
 """Round trips and header contracts for binary grids, PGM, and trace CSVs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,8 +93,14 @@ class TestPgm:
         assert pixels[1, 2] == 128
 
     def test_requires_positive_range(self, tmp_path):
-        with pytest.raises(ValueError, match="positive"):
-            fileio.write_pgm(tmp_path / "b.pgm", np.zeros((2, 2)), vrange=0.0)
+        for vrange in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"positive and finite, got {vrange!r}"):
+                fileio.write_pgm(tmp_path / "b.pgm", np.zeros((2, 2)), vrange=vrange)
+        assert not (tmp_path / "b.pgm").exists()
+
+    def test_requires_a_2d_grid(self, tmp_path):
+        with pytest.raises(ValueError, match="2-d grid"):
+            fileio.write_pgm(tmp_path / "b.pgm", np.zeros(4), vrange=0.05)
 
 
 class TestTraceCsv:
@@ -109,6 +117,11 @@ class TestTraceCsv:
         fileio.write_trace_csv(path, self.RECORDS)
         first = path.read_text().splitlines()[0]
         assert first == "iter,solves,objective,grad_norm,model_error,step,ls_evals,extra"
+
+    def test_float_columns_follow_the_declared_type(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_trace_csv(path, [replace(self.RECORDS[0], objective=1, step=0)])
+        assert path.read_text().splitlines()[1] == "0,8,1.0,9.8,0.0683686,0.0,0,"
 
     def test_round_trip_preserves_values(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -135,3 +148,12 @@ class TestTraceCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             fileio.read_trace_csv(path)
+
+    def test_rejects_rows_of_another_length(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_trace_csv(path, self.RECORDS)
+        header, row = path.read_text().splitlines()[:2]
+        for bad in (row.rsplit(",", 1)[0], row + ",1"):
+            path.write_text(f"{header}\n{bad}\n")
+            with pytest.raises(ValueError, match="malformed row"):
+                fileio.read_trace_csv(path)

@@ -89,6 +89,14 @@ class TestConfig:
             ExperimentConfig(geometry=GeometrySpec(kind="ring")).validate()
         with pytest.raises(ConfigError, match="needs a file"):
             ExperimentConfig(geometry=GeometrySpec(kind="from-file")).validate()
+        with pytest.raises(ConfigError, match="at least one source"):
+            ExperimentConfig(geometry=GeometrySpec(n_sources=0)).validate()
+        with pytest.raises(ConfigError, match="at least one receiver"):
+            ExperimentConfig(geometry=GeometrySpec(n_receivers=0)).validate()
+        with pytest.raises(ConfigError, match="target kind"):
+            ExperimentConfig(target=TargetSpec(kind="ring")).validate()
+        with pytest.raises(ConfigError, match="target kind from-file needs a file"):
+            ExperimentConfig(target=TargetSpec(kind="from-file")).validate()
         with pytest.raises(ConfigError, match="cap"):
             ExperimentConfig(target=TargetSpec(cap=1.5)).validate()
         with pytest.raises(ConfigError, match="budget"):
@@ -504,6 +512,18 @@ class TestPrepare:
         with pytest.raises(ConfigError):
             prepare_experiment(tiny_config(nx=4, ny=4))
 
+    def test_target_errors_become_config_errors_before_any_solve(self, tmp_path,
+                                                                 monkeypatch):
+        solves = []
+        monkeypatch.setattr(harness, "forward_solve",
+                            lambda *args, **kw: solves.append(args))
+        path = tmp_path / "warm.modl"
+        fileio.write_model(path, ModelGrid(np.full(20 * 20, 0.01), 20, 20))
+        cfg = tiny_config(target=TargetSpec(kind="from-file", file=str(path)))
+        with pytest.raises(ConfigError, match=r"\[-cap, 0\]"):
+            prepare_experiment(cfg)
+        assert solves == []
+
 
 class TestRunComparison:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -719,17 +739,6 @@ class TestAccountingGuard:
                               m_final=np.zeros(4), records=[rec(0, 5, 0)])
         with pytest.raises(RuntimeError, match="startup"):
             _check_gradient_only_accounting(bad_start, 2)
-
-
-def test_render_file(tmp_path):
-    model = ModelGrid(np.zeros(18 * 18), 18, 18)
-    src = tmp_path / "m.modl"
-    fileio.write_model(src, model)
-    dst = tmp_path / "m.pgm"
-    harness.render_file(src, dst, 0.05)
-    raw = dst.read_bytes()
-    assert raw.startswith(b"P5\n18 18\n255\n")
-    assert set(raw.split(b"\n", 3)[3]) == {128}
 
 
 def test_no_run_imports_scipy():

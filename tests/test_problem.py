@@ -457,6 +457,10 @@ def test_problem_validates_data_shapes():
     bad = DataSet(observed=[np.zeros((1, grid.nt + 1))], weights=np.ones((1, 1)))
     with pytest.raises(ValueError):
         FwiProblem(grid, geom, bad, SolveLedger())
+    two = Geometry(sources=geom.sources * 2, receivers=geom.receivers)
+    one = DataSet(observed=[np.zeros((1, grid.nt))], weights=np.ones((1, 1)))
+    with pytest.raises(ValueError, match="one seismogram per source"):
+        FwiProblem(grid, two, one, SolveLedger())
 
 
 def test_problem_rejects_seismograms_with_the_wrong_receiver_count():

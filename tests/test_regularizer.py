@@ -243,6 +243,14 @@ def test_build_rejects_bad_parameters():
         build(8, 1, H, LAM, NU, np.zeros(8))
 
 
+def test_products_reject_vectors_of_another_size():
+    op = small_op()
+    for apply in (op.value, op.hess_vec, op.solve_normal):
+        for size in (63, 65):
+            with pytest.raises(ValueError, match=f"has {size} entries, expected 64"):
+                apply(np.ones(size))
+
+
 def test_build_rejects_a_spectrum_outside_float64():
     # (lam nu)^2 underflows to zero, or (lam (nu + 8 / h^2))^2 overflows
     for lam, nu in ((1e-160, NU), (LAM, 1e-300), (1e300, NU), (LAM, 1e200)):

@@ -450,6 +450,19 @@ def test_adjoint_rejects_wrong_trace_shape():
         adjoint_solve(m, traces[:-1], fld, grid, led)
 
 
+def test_born_and_forward_reject_other_shapes():
+    rng, grid, m, src, recv = setup_problem()
+    led = SolveLedger()
+    _, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+    before = led.snapshot()
+    with pytest.raises(ValueError, match=f"expected {m.p}"):
+        born_solve(m, rng.standard_normal(m.p + 1), src, recv, grid, fld, led)
+    wide = ModelGrid(np.zeros((grid.nx + 1) * grid.ny), grid.nx + 1, grid.ny)
+    with pytest.raises(ValueError, match="does not match the simulation grid"):
+        forward_solve(wide, src, recv, grid, led)
+    assert led.snapshot() == before
+
+
 def test_adjoint_guard_raises_on_non_finite_field():
     _, grid, m, src, recv = setup_problem()
     led = SolveLedger()
@@ -565,6 +578,8 @@ def test_simgrid_rejects_bad_parameters():
         small_grid(h=-1.0)
     with pytest.raises(ValueError):
         small_grid(nt=1)
+    with pytest.raises(ValueError, match="recording interval"):
+        small_grid(dt_record=0.0)
     with pytest.raises(ValueError):
         small_grid(boundary_width=-2)
     with pytest.raises(ValueError, match="boundary strength"):
