@@ -741,6 +741,19 @@ class TestAccountingGuard:
             _check_gradient_only_accounting(bad_start, 2)
 
 
+def test_render_file(tmp_path):
+    # a stored model renders through fileio alone; the harness adds no wrapper
+    assert not hasattr(harness, "render_file")
+    model = ModelGrid(np.zeros(18 * 18), 18, 18)
+    src = tmp_path / "m.modl"
+    fileio.write_model(src, model)
+    dst = tmp_path / "m.pgm"
+    fileio.write_pgm(dst, fileio.read_model(src).as_2d(), 0.05)
+    raw = dst.read_bytes()
+    assert raw.startswith(b"P5\n18 18\n255\n")
+    assert set(raw.split(b"\n", 3)[3]) == {128}
+
+
 def test_no_run_imports_scipy():
     # gncg only applies its operators, gogn solves with D in its eigenbasis,
     # and nlcg and lbfgs factor the curvature model with numpy
