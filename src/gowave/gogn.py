@@ -81,7 +81,8 @@ def step_woodbury(J: GoJacobian, m_k, reg: SmoothingOperator) -> GognStep:
         chol = np.linalg.cholesky(small)  # small = chol chol^T
     except np.linalg.LinAlgError as exc:
         # cond(D^T D) = ((nu + 8 / h^2) / nu)^2 grows as h^2 nu shrinks
-        cond_dtd = (1.0 + 8.0 / (reg.h**2 * reg.nu)) ** 2
+        floor, top = reg.spectrum
+        cond_dtd = top / floor
         raise RuntimeError(
             f"low-rank system not SPD (cond ~ {np.linalg.cond(small):.3e}): "
             f"cond(D^T D) ~ {cond_dtd:.3e} at h^2 nu = {reg.h**2 * reg.nu:.3e} "

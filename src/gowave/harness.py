@@ -316,8 +316,10 @@ def gen_geometry(spec: GeometrySpec, extent: tuple, frequency: float) -> Geometr
     else:
         if spec.kind == "clustered":
             src_n, rec_n = _bundled_layout()
-        else:
+        elif spec.kind == "from-file":
             src_n, rec_n = _parse_layout(Path(spec.file).read_text(), spec.file)
+        else:
+            raise ValueError(f"unknown geometry kind {spec.kind!r}")
         if len(src_n) < spec.n_sources:
             raise ConfigError(f"layout has {len(src_n)} sources, "
                               f"{spec.n_sources} requested")
@@ -383,12 +385,14 @@ def gen_target(spec: TargetSpec, nx: int, ny: int) -> ModelGrid:
         ring = np.abs(np.hypot(ax, y - my) - mr) - mw
         mouth = _soft_mask(ring) * _soft_mask(0.62 * (ny - 1) - y)
         shape = np.maximum(eyes, mouth)
-    else:  # disks
+    elif spec.kind == "disks":
         centers = ((0.30, 0.30, 0.09), (0.68, 0.42, 0.11), (0.45, 0.74, 0.07))
         disks = [_soft_mask(np.hypot(x - fx * (nx - 1), y - fy * (ny - 1))
                             - fr * scale)
                  for fx, fy, fr in centers]
         shape = np.maximum.reduce(disks)
+    else:
+        raise ValueError(f"unknown target kind {spec.kind!r}")
     values = -spec.cap * shape
     values += 0.0  # normalize -0.0 so untouched background is exactly +0.0
     return ModelGrid(values.ravel(), nx, ny)

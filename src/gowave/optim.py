@@ -208,8 +208,11 @@ class CurvatureModel:
         if not np.all(np.isfinite(self.h0) & (self.h0 > 0)):
             raise ValueError("diagonal curvature estimate must be positive")
         self.reg = reg
+        # By Weyl's inequality 1 / omega = max h0 + the top of D^T D's
+        # spectrum is at least M's largest eigenvalue, so every mode of the
+        # Richardson sweep's error contracts
+        self.omega = 1.0 / (np.max(self.h0) + reg.spectrum[1])
         self._factor = None
-        self._lambda_max = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.h0 * v + self.reg.hess_vec(v)
@@ -236,38 +239,12 @@ class CurvatureModel:
             xk[:] = inv.T @ xk
         return x
 
-    def lambda_max(self) -> float:
-        """Largest eigenvalue by 20 steps of power iteration with a fixed
-        start vector. Raises RuntimeError unless the estimate is finite and
-        positive, as M's largest eigenvalue is."""
-        if self._lambda_max is None:
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(self.h0.size)
-            v /= np.linalg.norm(v)
-            est = 0.0
-            for _ in range(20):
-                w = self.apply(v)
-                est = float(np.dot(v, w))
-                with np.errstate(over="ignore"):  # inf ends in the RuntimeError
-                    nw = np.linalg.norm(w)
-                if nw == 0.0:
-                    break
-                v = w / nw
-            if not 0.0 < est < np.inf:
-                raise RuntimeError(
-                    f"the curvature model's largest eigenvalue estimate is {est!r}: "
-                    f"M = diag(h0) + D^T D at lam = {self.reg.lam!r} leaves float64; "
-                    "lower [regularizer] lam")
-            self._lambda_max = est
-        return self._lambda_max
-
     def richardson(self, b: np.ndarray) -> np.ndarray:
-        """GNCG_RICHARDSON_ITERS damped Richardson sweeps on M x = b: linear
-        in b by construction."""
-        omega = 1.0 / self.lambda_max()
+        """GNCG_RICHARDSON_ITERS Richardson sweeps on M x = b, relaxed by
+        omega: linear in b by construction."""
         x = np.zeros_like(b)
         for _ in range(GNCG_RICHARDSON_ITERS):
-            x += omega * (b - self.apply(x))
+            x += self.omega * (b - self.apply(x))
         return x
 
 

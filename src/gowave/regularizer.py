@@ -32,14 +32,22 @@ def _dct_basis(n: int) -> np.ndarray:
     return q
 
 
-def check_spectrum(lam: float, nu: float, h: float) -> None:
-    """Raise ValueError unless the spectrum of D^T D, from (lam nu)^2 up to
-    below (lam (nu + 8 / h^2))^2, fits float64: the normal solve divides by
-    every eigenvalue, and the products reach the largest."""
-    low, high = lam * nu, lam * (nu + 8.0 / (h * h))
-    low, high = low * low, high * high
-    if not (low > 0.0 and 1.0 / low < np.inf and high < np.inf):
-        raise ValueError(f"the spectrum of D^T D, [{low!r}, {high!r}], leaves float64")
+def check_spectrum(lam: float, nu: float, h: float) -> tuple[float, float]:
+    """The interval (floor, top) that holds the spectrum of D^T D: the
+    floor (lam nu)^2 is the constant mode's eigenvalue, and the top
+    (lam (nu + 8 / h^2))^2 lies above every eigenvalue, since each 1D
+    second difference has its eigenvalues in [0, 4 / h^2).
+
+    Raises ValueError unless the interval fits float64: the normal solve
+    divides by every eigenvalue, and the products reach the largest.
+    """
+    # numpy's power is C's pow, as Python's float ** is, but gives inf
+    # instead of raising OverflowError
+    with np.errstate(over="ignore"):
+        floor, top = (float(np.float64(lam * x) ** 2) for x in (nu, nu + 8.0 / (h * h)))
+    if not (floor > 0.0 and 1.0 / floor < np.inf and top < np.inf):
+        raise ValueError(f"the spectrum of D^T D, [{floor!r}, {top!r}], leaves float64")
+    return floor, top
 
 
 class SmoothingOperator:
@@ -55,7 +63,7 @@ class SmoothingOperator:
     def __init__(self, nx: int, ny: int, h: float, lam: float, nu: float, m0):
         if not (0 < lam < np.inf and 0 < nu < np.inf):
             raise ValueError("smoothing parameters lam and nu must be positive")
-        check_spectrum(lam, nu, h)
+        self.spectrum = check_spectrum(lam, nu, h)
         if min(nx, ny) < 2:
             raise ValueError(f"smoothing grid {nx} x {ny} needs at least 2 x 2 cells")
         m0 = np.array(m0, dtype=np.float64).ravel()
@@ -130,7 +138,7 @@ class SmoothingOperator:
     @property
     def mu(self) -> float:
         """Sharp lower bound (lam * nu)^2 on the spectrum of D^T D."""
-        return (self.lam * self.nu) ** 2
+        return self.spectrum[0]
 
     def _delta(self, m) -> np.ndarray:
         values = np.asarray(m, dtype=np.float64).ravel()

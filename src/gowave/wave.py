@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,7 +192,9 @@ class Wavefield:
     substeps, so there are substeps * (nt - 1) rows). A model perturbation
     dv scatters the wave through ``dv * scatter[n] / (12 h^2)``, so the
     adjoint correlates against it and the Born sweep is driven by it
-    without touching the forward field again.
+    without touching the forward field again. ``model`` and ``grid`` are
+    copies of those the forward solve ran on; the adjoint and Born sweeps
+    refuse the field for any other.
 
     Each ``scatter[n]`` is stored in the march's band layout: the padded
     rows at full width, with _HALO columns on either side. The halo columns
@@ -202,6 +204,7 @@ class Wavefield:
 
     scatter: np.ndarray            # (n_steps, nxp, nyp + 2 * _HALO)
     model: ModelGrid
+    grid: SimGrid
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
 
 
@@ -381,9 +384,10 @@ class _Workspace:
         return cells[:, 0] * self.width + cells[:, 1] + _HALO
 
     def check_field(self, field: Wavefield) -> np.ndarray:
-        """Check that ``field`` was kept on this model and fits this grid;
+        """Check that ``field`` was kept on this model and this grid;
         return its scattering source as (n_steps, band size) rows."""
-        if not np.array_equal(field.model.values, self.model.values) or \
+        if field.grid != self.grid or \
+                not np.array_equal(field.model.values, self.model.values) or \
                 field.scatter.shape != (self.n_steps, self.shape[0], self.width):
             raise ValueError("forward field was produced with a different model or grid")
         return field.scatter.reshape(self.n_steps, -1)
@@ -474,9 +478,11 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     ledger.count_forward()
     if not keep_field:
         return traces, None
-    # a copy: an in-place edit of the caller's model must not pass check_field
+    # copies: an in-place edit of the caller's model or grid must not pass
+    # check_field
     own = ModelGrid(model.values.copy(), model.nx, model.ny)
-    return traces, Wavefield(scatter=scatter, model=own, receiver_cells=ws.receiver_cells)
+    return traces, Wavefield(scatter=scatter, model=own, grid=replace(grid),
+                             receiver_cells=ws.receiver_cells)
 
 
 def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,

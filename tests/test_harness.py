@@ -426,6 +426,10 @@ class TestGeometry:
         with pytest.raises(ConfigError, match="expected"):
             gen_geometry(spec, EXTENT, 0.1)
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown geometry kind 'grid'"):
+            gen_geometry(GeometrySpec(kind="grid"), EXTENT, 0.1)
+
 
 class TestTarget:
     def test_face_amplitude_bounds_are_exact(self):
@@ -485,6 +489,10 @@ class TestTarget:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigError, match="16x16"):
             gen_target(TargetSpec(kind="face", cap=0.05), 12, 12)
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown target kind 'ring'"):
+            gen_target(TargetSpec(kind="ring"), 32, 32)
 
 
 class TestPrepare:

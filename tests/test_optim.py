@@ -229,17 +229,17 @@ class TestCurvatureModel:
         x = self.curv.solve(b)
         assert np.linalg.norm(self.curv.apply(x) - b) <= 1e-10 * np.linalg.norm(b)
 
-    def test_lambda_max_estimate_brackets_true_value(self):
+    def test_relaxation_bounds_the_largest_eigenvalue(self):
+        # 1 / omega >= lambda_max(M) makes every mode of the Richardson
+        # error contract; within a factor 2 of it, no mode is slowed much
         lam_true = np.linalg.eigvalsh(self.dense)[-1]
-        est = self.curv.lambda_max()
-        assert est <= lam_true * (1 + 1e-10)
-        assert est >= 0.5 * lam_true
+        assert lam_true <= 1.0 / self.curv.omega < 2.0 * lam_true
 
     def test_richardson_matches_eigenvector_closed_form(self):
         # on an eigenvector v with eigenvalue lam, n Richardson sweeps with
         # relaxation w give exactly (1 - (1 - w lam)^n) / lam * v
         lams, vecs = np.linalg.eigh(self.dense)
-        omega = 1.0 / self.curv.lambda_max()
+        omega = self.curv.omega
         n = GNCG_RICHARDSON_ITERS
         for idx in (0, P // 2, P - 1):
             lam, v = lams[idx], vecs[:, idx]
@@ -327,28 +327,45 @@ def test_indefinite_matrix_fails_the_factor():
         optim.block_cholesky(bands, 2 * reg.ny)
 
 
-def test_curvature_solve_bits_do_not_depend_on_blas_threads():
-    script = """
+def stdout_under_1_and_2_blas_threads(script):
+    """The output of a child Python running ``script`` with one and with
+    two BLAS threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                      check=True, capture_output=True,
+                                      text=True).stdout)
+    return outputs
+
+
+CURVATURE_SCRIPT = """
 import hashlib
 import numpy as np
 from gowave.optim import CurvatureModel
 from gowave.regularizer import build
-for n in (64, 128):
+for n in {sizes}:
     h = 2400.0
     nu = 1.0 / (5.0 * h) ** 2
     reg = build(n, n, h, 0.3 / (nu + 8.0 / h**2), nu, np.zeros(n * n))
-    rng = np.random.default_rng(18)
+    rng = np.random.default_rng({seed})
     curv = CurvatureModel(10.0 ** rng.uniform(-6.0, 0.0, n * n), reg)
-    print(hashlib.sha256(curv.solve(rng.standard_normal(n * n)).tobytes()).hexdigest())
+    print(hashlib.sha256(curv.{method}(rng.standard_normal(n * n)).tobytes()).hexdigest())
 """
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        digests.append(subprocess.run([sys.executable, "-c", script], env=env,
-                                      check=True, capture_output=True,
-                                      text=True).stdout)
-    assert digests[0] == digests[1]
+
+
+def test_curvature_solve_bits_do_not_depend_on_blas_threads():
+    one, two = stdout_under_1_and_2_blas_threads(
+        CURVATURE_SCRIPT.format(sizes=(64, 128), seed=18, method="solve"))
+    assert one == two
+
+
+def test_richardson_bits_do_not_depend_on_blas_threads():
+    # past 10,000 entries OpenBLAS splits a dot product across its threads
+    one, two = stdout_under_1_and_2_blas_threads(
+        CURVATURE_SCRIPT.format(sizes=(128,), seed=0, method="richardson"))
+    assert one == two
 
 
 @pytest.mark.parametrize("name, factored", [

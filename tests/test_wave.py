@@ -2,6 +2,7 @@
 
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +516,18 @@ def test_field_kept_on_another_model_with_equal_substeps_is_refused():
     m.values -= 0.05
     with pytest.raises(ValueError, match="different model or grid"):
         adjoint_solve(m, traces, fld, grid, led)
+    # a grid of the same shape and steps but another sponge or speed is
+    # refused too, and so is the solved grid edited in place
+    for other_grid in (replace(grid, boundary_strength=2.0), replace(grid, c0=2950.0)):
+        assert cfl_substeps(fld.model, other_grid) == cfl_substeps(fld.model, grid)
+        with pytest.raises(ValueError, match="different model or grid"):
+            adjoint_solve(fld.model, traces, fld, other_grid, led)
+        with pytest.raises(ValueError, match="different model or grid"):
+            born_solve(fld.model, rng.standard_normal(m.p), src, recv, other_grid,
+                       fld, led)
+    grid.boundary_strength = 2.0
+    with pytest.raises(ValueError, match="different model or grid"):
+        adjoint_solve(fld.model, traces, fld, grid, led)
     assert led.snapshot() == before
 
 
@@ -537,7 +550,7 @@ def test_wavefield_validates_snapshot_count():
     traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
     # a field one kept row short of the grid's steps is refused before
     # any solve is counted
-    short = Wavefield(scatter=fld.scatter[:-1], model=fld.model,
+    short = Wavefield(scatter=fld.scatter[:-1], model=fld.model, grid=fld.grid,
                       receiver_cells=fld.receiver_cells)
     with pytest.raises(ValueError, match="different model or grid"):
         adjoint_solve(m, traces, short, grid, led)
