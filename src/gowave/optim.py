@@ -210,8 +210,9 @@ class CurvatureModel:
         self.reg = reg
         # By Weyl's inequality 1 / omega = max h0 + the top of D^T D's
         # spectrum is at least M's largest eigenvalue, so every mode of the
-        # Richardson sweep's error contracts
-        self.omega = 1.0 / (np.max(self.h0) + reg.spectrum[1])
+        # Richardson sweep's error contracts. A sum past float64 leaves
+        # omega = 0, which richardson refuses
+        self.omega = 1.0 / (float(np.max(self.h0)) + reg.spectrum[1])
         self._factor = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -242,6 +243,11 @@ class CurvatureModel:
     def richardson(self, b: np.ndarray) -> np.ndarray:
         """GNCG_RICHARDSON_ITERS Richardson sweeps on M x = b, relaxed by
         omega: linear in b by construction."""
+        if self.omega == 0.0:
+            raise RuntimeError(
+                "the Richardson sweep's relaxation is 0: max h0 + the top of "
+                f"D^T D's spectrum at lam = {self.reg.lam!r} leaves float64; "
+                "lower [regularizer] lam")
         x = np.zeros_like(b)
         for _ in range(GNCG_RICHARDSON_ITERS):
             x += self.omega * (b - self.apply(x))

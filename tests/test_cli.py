@@ -200,16 +200,37 @@ def test_numerical_failure_during_set_up_exits_3(tiny_cfg_file, tmp_path, monkey
     assert not (out / "manifest.cfg").exists()
 
 
-def probe_cfg_file(tmp_path, optimizers):
+def probe_cfg_file(tmp_path, optimizers, lam="1e150"):
     # 20 x 20, two sources, 8 receivers, budget 20, and a lam near the top
-    # of the float64 range: D^T D's spectrum reaches 1.6e286
+    # of the float64 range: at 1e150 D^T D's spectrum reaches 1.6e286
     cfg = ExperimentConfig(
         nx=20, ny=20, h=8000.0, nt=50, boundary_width=8,
         geometry=GeometrySpec(kind="uniform", n_sources=2, n_receivers=8),
-        budget=20, lam="1e150", optimizers=optimizers)
+        budget=20, lam=lam, optimizers=optimizers)
     path = tmp_path / "probe.cfg"
     path.write_text("\n".join(config_lines(cfg)) + "\n")
     return path
+
+
+def test_curvature_overflow_fails_gncg_and_exits_3(tmp_path, monkeypatch):
+    # at lam = 1e161 D^T D's spectrum reaches 1.58e308, and a data curvature
+    # of 8.3e307 puts max h0 + that top past float64: the sweep's relaxation
+    # 1 / inf = 0 used to leave every preconditioned direction at zero
+    from gowave import harness
+
+    prepare = harness.prepare_experiment
+
+    def steep(cfg):
+        exp = prepare(cfg)
+        exp.h0_diag = exp.h0_diag * 1e300
+        return exp
+
+    monkeypatch.setattr(harness, "prepare_experiment", steep)
+    out = tmp_path / "o"
+    path = probe_cfg_file(tmp_path, ("gncg",), lam="1e161")
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 3
+    assert re.search(r"gncg_status = failed \(RuntimeError: .*\[regularizer\] lam",
+                     (out / "manifest.cfg").read_text())
 
 
 def test_printed_solves_match_the_manifest(tmp_path, capsys):
