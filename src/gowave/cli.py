@@ -59,19 +59,18 @@ def build_parser():
     return parser
 
 
+# The ExperimentConfig field each override flag sets
+_OVERRIDES = {"seed": "noise_seed", "sigma": "sigma", "budget": "budget",
+              "threads": "threads", "optimizer": "optimizers"}
+
+
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, noise_seed=args.seed)
-    if getattr(args, "sigma", None) is not None:
-        cfg = replace(cfg, sigma=args.sigma)
-    if getattr(args, "budget", None) is not None:
-        cfg = replace(cfg, budget=args.budget)
-    if getattr(args, "threads", None) is not None:
-        cfg = replace(cfg, threads=args.threads)
-    if getattr(args, "optimizer", None) is not None:
-        cfg = replace(cfg, optimizers=(args.optimizer,))
-    return cfg.validate()
+    given = {attr: getattr(args, flag) for flag, attr in _OVERRIDES.items()
+             if getattr(args, flag, None) is not None}
+    if "optimizers" in given:  # --optimizer names one
+        given["optimizers"] = (given["optimizers"],)
+    return replace(cfg, **given).validate()
 
 
 def main(argv=None) -> int:

@@ -96,7 +96,7 @@ class ExperimentConfig:
                 value = _get(self, attr)
                 if isinstance(value, float) and not np.isfinite(value):
                     raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
-                if key in ("seed", "sigma") and value < 0:
+                if key in ("seed", "sigma", "augment_to") and value < 0:
                     raise ConfigError(f"{section}.{key} must be non-negative")
                 if key in ("budget", "threads") and value < 1:
                     raise ConfigError(f"{section}.{key} must be positive")
@@ -130,8 +130,11 @@ class ExperimentConfig:
             raise ConfigError("target kind from-file needs a file")
         if not 0.0 < self.target.cap < 1.0:
             raise ConfigError("target cap must lie in (0, 1)")
+        if not self.optimizers:
+            raise ConfigError("run.optimizers is empty: name at least one of "
+                              f"{', '.join(OPTIMIZER_NAMES)}")
         unknown = [n for n in self.optimizers if n not in OPTIMIZER_NAMES]
-        if unknown or not self.optimizers:
+        if unknown:
             raise ConfigError(f"unknown optimizers {unknown}")
         if len(set(self.optimizers)) != len(self.optimizers):
             raise ConfigError(f"repeated optimizers in {list(self.optimizers)}")

@@ -307,12 +307,13 @@ class _Run:
         total, _ = self.problem.misfit_only(self.model(values))
         return total + self.reg.value(values)
 
-    def eval_fg(self, values, keep_fields=False):
-        """Objective with total gradient; also returns the raw report."""
-        report = self.problem.misfit_and_gradients(self.model(values),
+    def eval_fg(self, keep_fields=False):
+        """Objective with total gradient at the current values; also returns
+        the raw report."""
+        report = self.problem.misfit_and_gradients(self.model(self.values),
                                                    keep_fields=keep_fields)
-        f = report.total + self.reg.value(values)
-        g = report.gradients.sum(axis=0) + self.reg.grad(values)
+        f = report.total + self.reg.value(self.values)
+        g = report.gradients.sum(axis=0) + self.reg.grad(self.values)
         return f, g, report
 
     def model_error(self) -> float:
@@ -320,7 +321,7 @@ class _Run:
             return float("nan")
         return float(np.linalg.norm(self.problem.m_true.values - self.values))
 
-    def record(self, it, f, gnorm, step, ls_evals, extra=""):
+    def record(self, it, f, gnorm, step, ls_evals, extra):
         self.records.append(TraceRecord(
             iter=it, solves=self.used(), objective=f, grad_norm=gnorm,
             model_error=self.model_error(), step=step, ls_evals=ls_evals,
@@ -332,11 +333,13 @@ class _Run:
         step (p, extra), linesearch along it, until the budget is spent,
         the gradient vanishes, p is not a descent direction or no trial
         decreases F."""
-        f, g, report = self.eval_fg(self.values, keep_fields)
-        gnorm = float(np.linalg.norm(g))
-        self.record(0, f, gnorm, 0.0, 0)
-        it = 0
-        while self.used() < self.budget:
+        it, alpha, evals, extra = 0, 0.0, 0, ""
+        while True:
+            f, g, report = self.eval_fg(keep_fields)
+            gnorm = float(np.linalg.norm(g))
+            self.record(it, f, gnorm, alpha, evals, extra)
+            if self.used() >= self.budget:
+                break
             if gnorm == 0.0:
                 self.status = "converged"
                 break
@@ -353,10 +356,7 @@ class _Run:
                 self.status = "stalled"
                 break
             self.values = new_values
-            f, g, report = self.eval_fg(self.values, keep_fields)
-            gnorm = float(np.linalg.norm(g))
             it += 1
-            self.record(it, f, gnorm, alpha, evals, extra)
         return RunResult(name=self.name, records=self.records, status=self.status,
                          solves=self.used(), m_final=self.values)
 
@@ -441,15 +441,17 @@ def run_gncg(problem, reg, h0_diag, budget) -> RunResult:
     def direction(g, report):
         # inner preconditioned CG on (H_gn + D^T D) p = -g
         precond = partial(two_loop_apply, list(harvested), curv.richardson)
-        b = -g
-        x = np.zeros_like(b)
-        r = b.copy()
-        z = precond(r)
-        d = z
-        rz = float(np.dot(r, z))
-        bnorm = float(np.linalg.norm(b))
+        r = -g
+        x = np.zeros_like(r)
+        d = rz = None
+        bnorm = float(np.linalg.norm(r))
         products = 0  # Hessian products paid for, admitted or not
         while products < GNCG_CG_MAXITER and run.used() < budget:
+            # each pass preconditions its residual only once it will pay for
+            # a Hessian product
+            z = precond(r)
+            rz_prev, rz = rz, float(np.dot(r, z))
+            d = z if d is None else z + (rz / rz_prev) * d
             hd = problem.gn_hessian_vec(run.model(run.values), d,
                                         fields=report.fields) + reg.hess_vec(d)
             products += 1
@@ -464,10 +466,6 @@ def run_gncg(problem, reg, h0_diag, budget) -> RunResult:
             r = r - alpha_cg * hd
             if float(np.linalg.norm(r)) <= GNCG_CG_TOL * bnorm:
                 break
-            z_new = precond(r)
-            rz_new = float(np.dot(r, z_new))
-            d = z_new + (rz_new / rz) * d
-            z, rz = z_new, rz_new
         return x, str(products)
 
     # gradient evaluations keep their wavefields for the inner CG solves

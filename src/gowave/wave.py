@@ -256,9 +256,10 @@ def _stencil(ops, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma(ops, p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sigma = P - 60 u, with P from ``_stencil`` (and any source in it)."""
-    np.multiply(ops[0], -60.0, out=out)
+def _sigma(u: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigma = P - 60 u for a band ``u``, with P from ``_stencil`` (and any
+    source in it)."""
+    np.multiply(u, -60.0, out=out)
     out += p
     return out
 
@@ -412,47 +413,43 @@ class _Workspace:
                 f"(substeps={self.k}, dt={self.dt:.4g}s): time stepping is unstable"
             )
 
-    def march(self, excite, what: str, kept=None):
+    def march(self, excite, what: str):
         """Leapfrog from rest; return the (n_r, nt) traces sampled at
-        ``receiver_cells`` and the final flat field.
+        ``receiver_cells`` and the final field's band.
 
         Step n forms u^{n+1} = E u^n - AB u^{n-1} + C P from the stencil's
         P = 16 (N + S + W + E) - (NN + SS + WW + EE) of u^n, in the units of
         sigma = P - 60 u^n = 12 h^2 lap(u^n). Before the update,
         ``excite(n, p, u)`` sees P as a band, which it may edit in place,
-        and the flat field ``u = u^n``, which it must not; a non-None return
-        value, a band, is added to u^{n+1} as it stands. Given ``kept``, an
-        (n_steps, band size) array, step n writes sigma, formed from the
-        edited P, into ``kept[n]``; the update does not read it.
+        and u^n's band ``u``, which it must not; a non-None return value, a
+        band, is added to u^{n+1} as it stands.
         """
         k = self.k
-        cells = _HALO * self.width + self.band_offsets(self.receiver_cells)
+        cells = self.band_offsets(self.receiver_cells)
         traces = np.zeros((len(cells), self.grid.nt))
         C, AB, E = self.C, self.AB, self.E
-        u_prev, u = self.field(), self.field()
-        ops_prev, ops = self.operands(u_prev), self.operands(u)
+        ops_prev, ops = self.operands(self.field()), self.operands(self.field())
         p, tmp = np.empty(C.size), np.empty(C.size)
 
         with np.errstate(over="ignore", invalid="ignore"):  # guard reports a blow-up
             for n in range(self.n_steps):
+                u = ops[0]
                 _stencil(ops, p)
                 extra = excite(n, p, u)
-                if kept is not None:
-                    _sigma(ops, p, kept[n])
                 # u^{n+1} in u^{n-1}'s buffer
                 nxt = ops_prev[0]
                 nxt *= AB
-                np.multiply(E, ops[0], out=tmp)
+                np.multiply(E, u, out=tmp)
                 np.subtract(tmp, nxt, out=nxt)
                 p *= C
                 nxt += p
                 if extra is not None:
                     nxt += extra
-                u_prev, u, ops_prev, ops = u, u_prev, ops, ops_prev
+                ops_prev, ops = ops, ops_prev
                 if (n + 1) % k == 0:
-                    self.guard(ops[0], n + 1, what)
-                    traces[:, (n + 1) // k] = u[cells]
-        return traces, u
+                    self.guard(nxt, n + 1, what)
+                    traces[:, (n + 1) // k] = nxt[cells]
+        return traces, ops[0]
 
 
 def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid,
@@ -469,12 +466,14 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     # 12 h^2 f: the point source f = ricker / h^2 in sigma units
     f = 12.0 * ricker(ws.dt * np.arange(ws.n_steps), source.frequency, source.t0)
     scatter = mapped_zeros((ws.n_steps, ws.shape[0], ws.width)) if keep_field else None
+    rows = None if scatter is None else scatter.reshape(ws.n_steps, -1)
 
     def excite(n, p, u):
         p[cell] -= f[n]
+        if rows is not None:
+            _sigma(u, p, rows[n])
 
-    traces, _ = ws.march(excite, "field",
-                         None if scatter is None else scatter.reshape(ws.n_steps, -1))
+    traces, _ = ws.march(excite, "field")
     ledger.count_forward()
     if not keep_field:
         return traces, None
@@ -520,7 +519,7 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     corr = np.empty(gv.size)
 
     def image(psi, n):
-        np.multiply(ws.band(psi), scatter[n - 1], out=corr)
+        np.multiply(psi, scatter[n - 1], out=corr)
         np.add(gv, corr, out=gv)
 
     def excite(j, p, u):

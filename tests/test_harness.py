@@ -153,6 +153,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="data.seed"):
             ExperimentConfig(noise_seed=-1).validate()
 
+    def test_negative_augment_to_rejected(self):
+        # no rule gives a negative source count a meaning; 0 disables
+        with pytest.raises(ConfigError, match="geometry.augment_to must be non-negative"):
+            ExperimentConfig(geometry=GeometrySpec(augment_to=-1)).validate()
+
+    def test_empty_optimizer_list_is_named(self, tmp_path):
+        path = tmp_path / "empty.cfg"
+        path.write_text("[run]\noptimizers =\n")
+        with pytest.raises(ConfigError, match="^run.optimizers is empty"):
+            load_config(path)
+
     def test_silent_source_and_amplifying_sponge_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         for text, shown in (("[source]\namplitude = 0.0\n", "source.amplitude"),

@@ -1,8 +1,6 @@
 """Linesearch, budget, and optimizer driver tests on closed-form toys."""
 
 import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,6 +18,7 @@ from gowave.problem import MisfitReport
 from gowave.regularizer import build
 from gowave.wave import ModelGrid
 
+from blas_threads import stdout_under_1_and_2_blas_threads
 from oracles import curvature_solve_oracle
 
 NX, NY = 10, 5
@@ -325,19 +324,6 @@ def test_indefinite_matrix_fails_the_factor():
     bands[0] = bands[0] - 2.0 * reg.mu
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         optim.block_cholesky(bands, 2 * reg.ny)
-
-
-def stdout_under_1_and_2_blas_threads(script):
-    """The output of a child Python running ``script`` with one and with
-    two BLAS threads."""
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
-                                      check=True, capture_output=True,
-                                      text=True).stdout)
-    return outputs
 
 
 CURVATURE_SCRIPT = """

@@ -1,15 +1,11 @@
 """Tests for the smoothing regularizer and its spectral normal solve."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from gowave.regularizer import build
 
+from blas_threads import stdout_under_1_and_2_blas_threads
 from oracles import smoothing_matrix_oracle, solve_normal_oracle
 
 LAM, NU, H = 0.37, 4.2e-9, 2400.0
@@ -159,13 +155,7 @@ op = build(128, 128, 2400.0, 0.37, 4.2e-9, np.zeros(128 * 128))
 b = np.random.default_rng(16).standard_normal(op.p)
 print(hashlib.sha256(op.solve_normal(b).tobytes()).hexdigest())
 """
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        digests.append(subprocess.run([sys.executable, "-c", script], env=env,
-                                      check=True, capture_output=True,
-                                      text=True).stdout)
+    digests = stdout_under_1_and_2_blas_threads(script)
     assert digests[0] == digests[1]
 
 

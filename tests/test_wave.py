@@ -235,7 +235,7 @@ def test_band_stencil_and_sigma_equal_2d_formula_bitwise(shape):
     ws.inside(ws.band(field))[...] = u
     ops = ws.operands(field)
     p = wave._stencil(ops, np.empty(ops[0].size))
-    sigma = wave._sigma(ops, p, np.empty(p.size))
+    sigma = wave._sigma(ops[0], p, np.empty(p.size))
     p_ref, sigma_ref = stencil_2d(u)
     assert np.array_equal(ws.inside(p), p_ref)
     assert np.array_equal(ws.inside(sigma), sigma_ref)
