@@ -34,7 +34,8 @@ OPTIMIZER_NAMES = ("gogn", "nlcg", "lbfgs", "gncg")
 
 # Largest kept forward field a config may imply at the start model m = 0:
 # gncg holds one per source and every other method one at a time. It also
-# bounds the curvature factor that nlcg and lbfgs build.
+# bounds the curvature factor that nlcg and lbfgs build, and the set-up's
+# receiver-weight and seismogram arrays.
 KEPT_FIELD_LIMIT_BYTES = 10**9
 
 
@@ -124,6 +125,17 @@ class ExperimentConfig:
             raise ConfigError("need at least one source")
         if self.geometry.n_receivers < 1:
             raise ConfigError("need at least one receiver")
+        n_r = self.geometry.n_receivers
+        traces = max(self.geometry.n_sources, self.geometry.augment_to) * n_r
+        for keys, nbytes, what in (
+                (f"geometry.n_receivers = {n_r}", 16 * n_r * n_r,
+                 "the receiver weights' (n_r, n_r, 2) distances"),
+                ("geometry.n_sources, augment_to, n_receivers and grid.nt",
+                 16 * traces * self.nt, "the clean and observed seismograms")):
+            if nbytes > KEPT_FIELD_LIMIT_BYTES:
+                raise ConfigError(
+                    f"{keys} would need {nbytes / 1e9:.3g} GB for {what}, past "
+                    f"the {KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit")
         if self.target.kind not in ("face", "disks", "from-file"):
             raise ConfigError(f"unknown target kind {self.target.kind!r}")
         if self.target.kind == "from-file" and not self.target.file:

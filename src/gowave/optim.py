@@ -460,7 +460,7 @@ def run_gncg(problem, reg, h0_diag, budget) -> RunResult:
                 if products == 1:
                     x = z  # fall back to the preconditioned gradient
                 break
-            admit_curvature_pair(harvested, d.copy(), hd)
+            admit_curvature_pair(harvested, d, hd)
             alpha_cg = rz / dhd
             x = x + alpha_cg * d
             r = r - alpha_cg * hd

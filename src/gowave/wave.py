@@ -32,8 +32,9 @@ import numpy as np
 # CFL safety factor for the 2D 4th-order stencil (stability limit ~0.61).
 CFL_SAFETY = 0.5
 
-# Zero halo around every field so the 4th-order stencil sees a Dirichlet
-# exterior. Sweeps keep their fields inside it, as flat arrays.
+# Zero halo so the 4th-order stencil sees a Dirichlet exterior: _HALO rows
+# above and below, and after each row a gap of _HALO columns that is also
+# the next row's left halo.
 _HALO = 2
 
 
@@ -110,7 +111,7 @@ class SimGrid:
         start model m = 0."""
         nxp = self.nx + 2 * self.boundary_width
         nyp = self.ny + 2 * self.boundary_width
-        return _substeps(self, self.c0) * (self.nt - 1) * nxp * (nyp + 2 * _HALO) * 8
+        return _substeps(self, self.c0) * (self.nt - 1) * nxp * (nyp + _HALO) * 8
 
     @property
     def extent(self) -> tuple[float, float]:
@@ -197,12 +198,11 @@ class Wavefield:
     refuse the field for any other.
 
     Each ``scatter[n]`` is stored in the march's band layout: the padded
-    rows at full width, with _HALO columns on either side. The halo columns
-    carry no meaning; the sweeps multiply them by a zero and discard the
-    product.
+    rows, each followed by its _HALO gap columns, which carry no meaning;
+    the sweeps multiply them by a zero and discard the product.
     """
 
-    scatter: np.ndarray            # (n_steps, nxp, nyp + 2 * _HALO)
+    scatter: np.ndarray            # (n_steps, nxp, nyp + _HALO)
     model: ModelGrid
     grid: SimGrid
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
@@ -240,7 +240,7 @@ def _stencil(ops, out: np.ndarray) -> np.ndarray:
 
     ``ops`` are a field's operand views (``_Workspace.operands``): its band,
     then the band shifted one row up and down and one column left and
-    right, then two. In the halo columns the column shifts wrap into the
+    right, then two. In the gap columns the column shifts wrap into the
     next row and ``out`` is meaningless; elsewhere the zero halo gives the
     stencil a zero-Dirichlet exterior.
     """
@@ -315,11 +315,11 @@ class _Workspace:
     """Per-call precomputation and the time loop shared by the sweeps.
 
     Sweeps step flat fields of ``size`` entries: the padded grid (interior
-    plus sponge) inside a zero halo of _HALO rows and columns. Only the
-    ``band`` (the rows inside the halo, at full width) is ever written. Its
-    halo columns stay +0.0 while the stencil's P is finite: the coefficient
-    bands are +0.0 there and the fields start at +0.0, so each step writes
-    +0 - +0 + (+-0) = +0.0 into them.
+    plus sponge) between _HALO zero rows, each row followed by _HALO zero
+    columns that also serve as the next row's left halo. Only the ``band``
+    (the rows, gaps included) is ever written. Its gaps stay +0.0 while the
+    stencil's P is finite: the coefficient bands are +0.0 there and the
+    fields start at +0.0, so each step writes +0 - +0 + (+-0) = +0.0.
     """
 
     def __init__(self, model: ModelGrid, grid: SimGrid, receivers=()):
@@ -333,7 +333,7 @@ class _Workspace:
 
         self.receiver_cells = grid.snap_all(receivers) + self.bw
         self.shape = (grid.nx + 2 * self.bw, grid.ny + 2 * self.bw)
-        self.width = self.shape[1] + 2 * _HALO
+        self.width = self.shape[1] + _HALO
         self.size = (self.shape[0] + 2 * _HALO) * self.width
         self._band = slice(_HALO * self.width, (_HALO + self.shape[0]) * self.width)
 
@@ -366,11 +366,11 @@ class _Workspace:
                      for o in (0, -w, w, -1, 1, -2 * w, 2 * w, -2, 2))
 
     def inside(self, band: np.ndarray) -> np.ndarray:
-        """The (nxp, nyp) view of a band inside its halo columns."""
-        return band.reshape(self.shape[0], self.width)[:, _HALO:-_HALO]
+        """The (nxp, nyp) view of a band without its gap columns."""
+        return band.reshape(self.shape[0], self.width)[:, :-_HALO]
 
     def coef(self, x) -> np.ndarray:
-        """A band holding x, an (nxp, nyp) array or a scalar, zero in the halo
+        """A band holding x, an (nxp, nyp) array or a scalar, zero in the gap
         columns."""
         band = np.zeros(self._band.stop - self._band.start)
         self.inside(band)[...] = x
@@ -382,7 +382,7 @@ class _Workspace:
 
     def band_offsets(self, cells: np.ndarray) -> np.ndarray:
         """Offsets of (n, 2) padded-grid cells within a band."""
-        return cells[:, 0] * self.width + cells[:, 1] + _HALO
+        return cells[:, 0] * self.width + cells[:, 1]
 
     def check_field(self, field: Wavefield) -> np.ndarray:
         """Check that ``field`` was kept on this model and this grid;
@@ -397,7 +397,7 @@ class _Workspace:
         """Raise SolverBlowupError if ``field`` at internal step n is not
         finite or has grown past 1e100.
 
-        The sweeps pass a field's band, whose halo columns stay +0.0 while
+        The sweeps pass a field's band, whose gap columns stay +0.0 while
         the steps are finite, so the verdict and magnitude are the
         interior's.
         """

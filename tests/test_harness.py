@@ -158,6 +158,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="geometry.augment_to must be non-negative"):
             ExperimentConfig(geometry=GeometrySpec(augment_to=-1)).validate()
 
+    @pytest.mark.parametrize("key", ["n_receivers", "n_sources", "augment_to"])
+    def test_set_up_arrays_are_bounded(self, key):
+        # validated only: at 10^6 the set-up would allocate past the limit
+        match = (r"geometry\.n_receivers = 1000000 would need 1\.6e\+04 GB for "
+                 r"the receiver weights' \(n_r, n_r, 2\) distances, past the 1 GB"
+                 if key == "n_receivers" else
+                 r"geometry\.n_sources, augment_to, n_receivers and grid\.nt would "
+                 r"need 120 GB for the clean and observed seismograms, past the 1 GB")
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(geometry=GeometrySpec(**{key: 10**6})).validate()
+
     def test_empty_optimizer_list_is_named(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("[run]\noptimizers =\n")
@@ -276,16 +287,16 @@ class TestConfig:
                     load_config(path)
 
     def test_kept_field_size_is_bounded(self):
-        # desk's kept field: 149 steps of 104 x 108 band rows, 13.4 MB
+        # desk's kept field: 149 steps of 104 x 106 band rows, 13.1 MB
         desk = ExperimentConfig()
-        assert desk.sim_grid().kept_field_bytes() == 149 * 104 * 108 * 8
-        # dt = 1000 needs 788 substeps per sample: 10.55 GB per field. Only
+        assert desk.sim_grid().kept_field_bytes() == 149 * 104 * 106 * 8
+        # dt = 1000 needs 788 substeps per sample: 10.35 GB per field. Only
         # validated, never run.
         huge = ExperimentConfig(dt=1000.0)
         nbytes = huge.sim_grid().kept_field_bytes()
-        assert nbytes == 788 * 149 * 104 * 108 * 8
+        assert nbytes == 788 * 149 * 104 * 106 * 8
         assert nbytes > harness.KEPT_FIELD_LIMIT_BYTES
-        with pytest.raises(ConfigError, match=r"would hold 10\.6 GB, past the 1 GB"):
+        with pytest.raises(ConfigError, match=r"would hold 10\.4 GB, past the 1 GB"):
             huge.validate()
         with pytest.raises(ConfigError, match="would hold inf GB"):
             ExperimentConfig(dt=1e308).validate()

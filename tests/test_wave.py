@@ -266,7 +266,7 @@ def test_sweeps_leave_every_halo_entry_positive_zero(monkeypatch):
         assert np.abs(f).max() > 0
         f2 = f.reshape(nxp + 4, -1)
         halo = np.ones(f2.shape, dtype=bool)
-        halo[2:-2, 2:-2] = False
+        halo[2:-2, :-2] = False
         assert np.all(f2[halo] == 0.0)
         assert not np.signbit(f2[halo]).any()
 
@@ -341,7 +341,7 @@ def test_forward_and_born_match_unfolded_reference_steps(gridkw):
     ref, scatter = forward_reference(m, src, recv, grid)
     assert np.linalg.norm(traces - ref) <= 1e-13 * np.linalg.norm(ref)
     # the kept rows hold sigma = 12 h^2 (lap(u^n) - f^n)
-    kept = fld.scatter[:, :, wave._HALO:-wave._HALO] / (12.0 * grid.h**2)
+    kept = fld.scatter[:, :, :-wave._HALO] / (12.0 * grid.h**2)
     assert np.linalg.norm(kept - scatter) <= 1e-13 * np.linalg.norm(scatter)
     direction = rng.standard_normal(m.p)
     born = born_solve(m, direction, src, recv, grid, fld, led)
@@ -364,7 +364,7 @@ def adjoint_reference(model, q, fld, grid):
                - a * b * lam_next2)
         if n % k == 0:
             np.add.at(lam, (rx, ry), q[:, n // k])
-        scatter = fld.scatter[n - 1][:, wave._HALO:-wave._HALO] / (12.0 * grid.h**2)
+        scatter = fld.scatter[n - 1][:, :-wave._HALO] / (12.0 * grid.h**2)
         gv += dt**2 * a * lam * scatter
         lam_next2, lam_next = lam_next, lam
     return (2.0 * grid.c0**2 * (1.0 + model.as_2d()) * wave._fold_edge(gv, bw)).ravel()
@@ -557,6 +557,20 @@ def test_wavefield_validates_snapshot_count():
     assert led.snapshot().adjoint == 0
 
 
+@pytest.mark.parametrize("gridkw, k", [({}, 3), ({"boundary_width": 0}, 3),
+                                        ({"dt_record": 0.4}, 1),
+                                        ({"dt_record": 2.0}, 5)])
+def test_kept_field_bytes_is_the_kept_allocation(gridkw, k):
+    # the load-time bound on a kept field reads this size, never an array
+    grid = small_grid(**gridkw)
+    m = ModelGrid.zeros(grid.nx, grid.ny)
+    assert cfl_substeps(m, grid) == k
+    src = SourceSpec(position=(10 * grid.h, 9 * grid.h), frequency=0.1)
+    _, fld = forward_solve(m, src, cells(grid, (3, 4)), grid, SolveLedger(),
+                           keep_field=True)
+    assert fld.scatter.nbytes == grid.kept_field_bytes()
+
+
 def test_dropped_kept_fields_return_their_memory():
     statm = Path("/proc/self/statm")
     if not statm.exists():
@@ -566,7 +580,7 @@ def test_dropped_kept_fields_return_their_memory():
     def rss():
         return int(statm.read_text().split()[1]) * page
 
-    # desk size: 149 steps of 104 x 108 band rows, 13.4 MB per field; in
+    # desk size: 149 steps of 104 x 106 band rows, 13.1 MB per field; in
     # malloc's heap the second field would keep its pages after the first
     # had raised the mmap threshold
     grid = SimGrid(nx=64, ny=64, h=8000.0, c0=3150.0, dt_record=1.0, nt=150)
