@@ -12,7 +12,6 @@ into any output.
 
 import configparser
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -597,6 +596,9 @@ def run_comparison(cfg: ExperimentConfig, out_dir):
 
     names = list(cfg.optimizers)
     if cfg.threads > 1:
+        # imported here: concurrent.futures also loads logging, queue and
+        # traceback, which a single-threaded run never uses
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             outcomes = list(pool.map(attempt, names))
     else:

@@ -107,8 +107,10 @@ class SimGrid:
                 f"before the source wavelet peaks at 1.5 / frequency = {source.t0!r} s")
 
     def kept_field_bytes(self) -> int:
-        """Bytes of one kept forward field (``Wavefield.scatter``) at the
-        start model m = 0."""
+        """The most bytes one kept forward field (``Wavefield.scatter``) can
+        hold at the start model m = 0: every step's whole band. A field
+        stores each step only on the rows its wave can have reached
+        (``_Workspace.slabs``), so it holds less."""
         nxp = self.nx + 2 * self.boundary_width
         nyp = self.ny + 2 * self.boundary_width
         return _substeps(self, self.c0) * (self.nt - 1) * nxp * (nyp + _HALO) * 8
@@ -186,23 +188,27 @@ class SourceSpec:
 class Wavefield:
     """The forward sweep's scattering source, kept for the adjoint and Born.
 
-    ``scatter[n]`` is ``sigma^n = 12 h^2 (lap(u^n) - f^n)`` on the padded
+    ``scatter`` holds ``sigma^n = 12 h^2 (lap(u^n) - f^n)`` on the padded
     grid (interior + sponge): the Laplacian of the field at internal time
     n * dt, with the point source already subtracted, in the march's units,
     exactly as the forward step formed it on ``model`` (dt = dt_record /
-    substeps, so there are substeps * (nt - 1) rows). A model perturbation
-    dv scatters the wave through ``dv * scatter[n] / (12 h^2)``, so the
+    substeps, so there are substeps * (nt - 1) steps). A model perturbation
+    dv scatters the wave through ``dv * sigma^n / (12 h^2)``, so the
     adjoint correlates against it and the Born sweep is driven by it
     without touching the forward field again. ``model`` and ``grid`` are
     copies of those the forward solve ran on; the adjoint and Born sweeps
     refuse the field for any other.
 
-    Each ``scatter[n]`` is stored in the march's band layout: the padded
-    rows, each followed by its _HALO gap columns, which carry no meaning;
+    Each sigma^n is stored only on its slab: the band rows that the wave
+    from the source's band row ``source_row`` can have reached by step n
+    (``_Workspace.slabs``), outside which it is +0.0. The slabs lie one
+    after another in the flat ``scatter``, in the march's band layout: each
+    padded row followed by its _HALO gap columns, which carry no meaning;
     the sweeps multiply them by a zero and discard the product.
     """
 
-    scatter: np.ndarray            # (n_steps, nxp, nyp + _HALO)
+    scatter: np.ndarray            # (sum of the slab sizes,)
+    source_row: int                # the source's padded-grid row
     model: ModelGrid
     grid: SimGrid
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
@@ -384,14 +390,35 @@ class _Workspace:
         """Offsets of (n, 2) padded-grid cells within a band."""
         return cells[:, 0] * self.width + cells[:, 1]
 
-    def check_field(self, field: Wavefield) -> np.ndarray:
-        """Check that ``field`` was kept on this model and this grid;
-        return its scattering source as (n_steps, band size) rows."""
-        if field.grid != self.grid or \
-                not np.array_equal(field.model.values, self.model.values) or \
-                field.scatter.shape != (self.n_steps, self.shape[0], self.width):
-            raise ValueError("forward field was produced with a different model or grid")
-        return field.scatter.reshape(self.n_steps, -1)
+    def slabs(self, row: int) -> tuple[list, list]:
+        """The band rows that sigma^n can be nonzero on, for a source on band
+        row ``row``: max(0, row - 2n) up to min(nxp, row + 2n + 1).
+
+        u^0 = 0, the source enters P only at its cell and a step's P reads
+        u two rows up and down, so outside those rows sigma^n is +0.0 in
+        every cell but the gap columns, which the sweeps only ever multiply
+        by a zero. Returns, for each internal step n, the band slice of its
+        rows, or None once they are the whole band; and the offsets ``at``:
+        step n's rows are ``scatter[at[n]:at[n + 1]]`` of a kept field.
+        """
+        nxp, w = self.shape[0], self.width
+        n = np.arange(self.n_steps)
+        lo, hi = np.maximum(0, row - 2 * n), np.minimum(nxp, row + 2 * n + 1)
+        at = np.concatenate(([0], np.cumsum((hi - lo) * w))).tolist()
+        spans = [None if b - a == nxp else slice(a * w, b * w)
+                 for a, b in zip(lo.tolist(), hi.tolist())]
+        return spans, at
+
+    def check_field(self, field: Wavefield) -> tuple[list, list]:
+        """Check that ``field`` was kept on this model and this grid, and
+        holds the slabs of its source row; return its ``slabs``."""
+        if field.grid == self.grid and \
+                np.array_equal(field.model.values, self.model.values) and \
+                0 <= field.source_row < self.shape[0]:
+            spans, at = self.slabs(field.source_row)
+            if field.scatter.shape == (at[-1],):
+                return spans, at
+        raise ValueError("forward field was produced with a different model or grid")
 
     def guard(self, field: np.ndarray, n: int, what: str):
         """Raise SolverBlowupError if ``field`` at internal step n is not
@@ -421,8 +448,9 @@ class _Workspace:
         P = 16 (N + S + W + E) - (NN + SS + WW + EE) of u^n, in the units of
         sigma = P - 60 u^n = 12 h^2 lap(u^n). Before the update,
         ``excite(n, p, u)`` sees P as a band, which it may edit in place,
-        and u^n's band ``u``, which it must not; a non-None return value, a
-        band, is added to u^{n+1} as it stands.
+        and u^n's band ``u``, which it must not. It may return a slab
+        ``(span, x)``: x is added to u^{n+1}'s band slice ``span``, or to the
+        whole band where ``span`` is None.
         """
         k = self.k
         cells = self.band_offsets(self.receiver_cells)
@@ -444,7 +472,9 @@ class _Workspace:
                 p *= C
                 nxt += p
                 if extra is not None:
-                    nxt += extra
+                    span, x = extra
+                    part = nxt if span is None else nxt[span]
+                    part += x
                 ops_prev, ops = ops, ops_prev
                 if (n + 1) % k == 0:
                     self.guard(nxt, n + 1, what)
@@ -465,13 +495,18 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     cell = ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0]
     # 12 h^2 f: the point source f = ricker / h^2 in sigma units
     f = 12.0 * ricker(ws.dt * np.arange(ws.n_steps), source.frequency, source.t0)
-    scatter = mapped_zeros((ws.n_steps, ws.shape[0], ws.width)) if keep_field else None
-    rows = None if scatter is None else scatter.reshape(ws.n_steps, -1)
+    row = int(cell) // ws.width
+    if keep_field:
+        spans, at = ws.slabs(row)
+        scatter = mapped_zeros((at[-1],))
 
     def excite(n, p, u):
         p[cell] -= f[n]
-        if rows is not None:
-            _sigma(u, p, rows[n])
+        if keep_field:
+            span = spans[n]
+            if span is not None:
+                u, p = u[span], p[span]
+            _sigma(u, p, scatter[at[n]:at[n + 1]])
 
     traces, _ = ws.march(excite, "field")
     ledger.count_forward()
@@ -480,8 +515,8 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     # copies: an in-place edit of the caller's model or grid must not pass
     # check_field
     own = ModelGrid(model.values.copy(), model.nx, model.ny)
-    return traces, Wavefield(scatter=scatter, model=own, grid=replace(grid),
-                             receiver_cells=ws.receiver_cells)
+    return traces, Wavefield(scatter=scatter, source_row=row, model=own,
+                             grid=replace(grid), receiver_cells=ws.receiver_cells)
 
 
 def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
@@ -509,7 +544,8 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
             f"residual traces have shape {q.shape}, expected ({n_rec}, {grid.nt})"
         )
     ws = _Workspace(model, grid)
-    scatter = ws.check_field(forward_field)
+    spans, at = ws.check_field(forward_field)
+    scatter = forward_field.scatter
 
     n_steps, k = ws.n_steps, ws.k
     receivers = ws.band_offsets(forward_field.receiver_cells)
@@ -519,8 +555,11 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     corr = np.empty(gv.size)
 
     def image(psi, n):
-        np.multiply(psi, scatter[n - 1], out=corr)
-        np.add(gv, corr, out=gv)
+        g, c, span = gv, corr, spans[n - 1]
+        if span is not None:
+            g, c, psi = gv[span], corr[span], psi[span]
+        np.multiply(psi, scatter[at[n - 1]:at[n]], out=c)
+        np.add(g, c, out=g)
 
     def excite(j, p, u):
         if j:
@@ -553,7 +592,8 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     ws = _Workspace(model, grid, receivers)
     if not np.array_equal(ws.receiver_cells, forward_field.receiver_cells):
         raise ValueError("receivers differ from those the forward field was kept for")
-    scatter = ws.check_field(forward_field)
+    spans, at = ws.check_field(forward_field)
+    scatter = forward_field.scatter
 
     dv = np.pad(ws.model_chain() * direction.reshape(model.nx, model.ny),
                 ws.bw, mode="edge")
@@ -562,8 +602,11 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     extra = np.empty(kick.size)
 
     def excite(n, p, u):
-        np.multiply(kick, scatter[n], out=extra)
-        return extra
+        kv, x, span = kick, extra, spans[n]
+        if span is not None:
+            kv, x = kick[span], extra[span]
+        np.multiply(kv, scatter[at[n]:at[n + 1]], out=x)
+        return span, x
 
     traces, _ = ws.march(excite, "scattered field")
     ledger.count_born()

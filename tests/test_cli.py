@@ -256,14 +256,26 @@ def test_residual_overflow_fails_gogn_and_exits_3(tiny_cfg_file, tmp_path):
     assert "gogn_status = failed (SolverBlowupError" in (out / "manifest.cfg").read_text()
 
 
-def test_installed_entry_point(tmp_path):
-    grid = tmp_path / "m.modl"
-    fileio.write_model(grid, ModelGrid(np.zeros(18 * 18), 18, 18))
+def run_child(*args):
     # the child imports the same gowave as this suite, installed or not
     path = [str(Path(gowave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gowave.cli", "render", str(grid), "0.05"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def test_installed_entry_point(tmp_path):
+    grid = tmp_path / "m.modl"
+    fileio.write_model(grid, ModelGrid(np.zeros(18 * 18), 18, 18))
+    proc = run_child("-m", "gowave.cli", "render", str(grid), "0.05")
     assert proc.returncode == 0
     assert (tmp_path / "m.pgm").exists()
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # only a run with threads > 1 needs concurrent.futures, which also loads
+    # logging, queue and traceback
+    proc = run_child("-c", "import sys, gowave.cli; "
+                           "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

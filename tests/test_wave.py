@@ -15,7 +15,6 @@ from gowave.wave import (
     SimGrid,
     SolverBlowupError,
     SourceSpec,
-    Wavefield,
     adjoint_solve,
     born_solve,
     cfl_substeps,
@@ -38,6 +37,17 @@ def random_model(grid, rng, scale=0.05):
 
 def cells(grid, *pairs):
     return [(ix * grid.h, iy * grid.h) for ix, iy in pairs]
+
+
+def kept_rows(fld):
+    """A kept field's sigma^n on whole bands, (n_steps, nxp, nyp + _HALO):
+    each step's slab, and +0.0 on the rows outside it."""
+    ws = wave._Workspace(fld.model, fld.grid)
+    spans, at = ws.check_field(fld)
+    full = np.zeros((ws.n_steps, ws.shape[0] * ws.width))
+    for n, span in enumerate(spans):
+        full[n, slice(None) if span is None else span] = fld.scatter[at[n]:at[n + 1]]
+    return full.reshape(ws.n_steps, ws.shape[0], ws.width)
 
 
 # -- source wavelet ----------------------------------------------------------
@@ -120,7 +130,7 @@ def test_first_sample_is_zero_and_field_starts_at_rest():
                                 keep_field=True)
     assert np.all(traces[:, 0] == 0.0)
     # at rest the scattering source is the point source alone
-    assert np.count_nonzero(fld.scatter[0]) == 1
+    assert np.count_nonzero(kept_rows(fld)[0]) == 1
 
 
 def test_causality_quiet_before_first_arrival():
@@ -341,7 +351,7 @@ def test_forward_and_born_match_unfolded_reference_steps(gridkw):
     ref, scatter = forward_reference(m, src, recv, grid)
     assert np.linalg.norm(traces - ref) <= 1e-13 * np.linalg.norm(ref)
     # the kept rows hold sigma = 12 h^2 (lap(u^n) - f^n)
-    kept = fld.scatter[:, :, :-wave._HALO] / (12.0 * grid.h**2)
+    kept = kept_rows(fld)[:, :, :-wave._HALO] / (12.0 * grid.h**2)
     assert np.linalg.norm(kept - scatter) <= 1e-13 * np.linalg.norm(scatter)
     direction = rng.standard_normal(m.p)
     born = born_solve(m, direction, src, recv, grid, fld, led)
@@ -357,6 +367,7 @@ def adjoint_reference(model, q, fld, grid):
     bw = grid.boundary_width
     k, dt, v, a, b = reference_coefficients(model, grid)
     rx, ry = fld.receiver_cells.T
+    kept = kept_rows(fld)[:, :, :-wave._HALO] / (12.0 * grid.h**2)
     lam_next, lam_next2, gv = np.zeros(v.shape), np.zeros(v.shape), np.zeros(v.shape)
     for n in range(k * (grid.nt - 1), 0, -1):
         # lambda^n = 2 a lambda^{n+1} + dt^2 lap(a v lambda^{n+1}) - a b lambda^{n+2}
@@ -364,8 +375,7 @@ def adjoint_reference(model, q, fld, grid):
                - a * b * lam_next2)
         if n % k == 0:
             np.add.at(lam, (rx, ry), q[:, n // k])
-        scatter = fld.scatter[n - 1][:, :-wave._HALO] / (12.0 * grid.h**2)
-        gv += dt**2 * a * lam * scatter
+        gv += dt**2 * a * lam * kept[n - 1]
         lam_next2, lam_next = lam_next, lam
     return (2.0 * grid.c0**2 * (1.0 + model.as_2d()) * wave._fold_edge(gv, bw)).ravel()
 
@@ -377,7 +387,7 @@ def test_adjoint_matches_reference_transpose_loop(gridkw, extra_recv):
     recv += cells(grid, *extra_recv)  # a duplicate receiver injects twice
     led = SolveLedger()
     traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
-    assert fld.scatter.shape[0] == 3 * (grid.nt - 1)  # three substeps
+    assert len(kept_rows(fld)) == 3 * (grid.nt - 1)  # three substeps
     q = rng.standard_normal(traces.shape)
     ref = adjoint_reference(m, q, fld, grid)
     g = adjoint_solve(m, q, fld, grid, led)
@@ -545,30 +555,93 @@ def test_born_refuses_receivers_other_than_the_fields():
 
 
 def test_wavefield_validates_snapshot_count():
-    _, grid, m, src, recv = setup_problem()
+    rng, grid, m, src, recv = setup_problem()
     led = SolveLedger()
     traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
-    # a field one kept row short of the grid's steps is refused before
-    # any solve is counted
-    short = Wavefield(scatter=fld.scatter[:-1], model=fld.model, grid=fld.grid,
-                      receiver_cells=fld.receiver_cells)
-    with pytest.raises(ValueError, match="different model or grid"):
-        adjoint_solve(m, traces, short, grid, led)
-    assert led.snapshot().adjoint == 0
+    width = grid.ny + 2 * grid.boundary_width + wave._HALO
+    assert fld.source_row == 10 + grid.boundary_width
+    before = led.snapshot()
+    # a field one entry or one band row short of its slabs, or one whose
+    # source row no longer gives its slabs, is refused before any solve is
+    # counted
+    for scatter, row in ((fld.scatter[:-1], fld.source_row),
+                         (fld.scatter[:-width], fld.source_row),
+                         (fld.scatter, fld.source_row + 1),
+                         (fld.scatter, -1)):
+        bad = replace(fld, scatter=scatter, source_row=row)
+        with pytest.raises(ValueError, match="different model or grid"):
+            adjoint_solve(m, traces, bad, grid, led)
+        with pytest.raises(ValueError, match="different model or grid"):
+            born_solve(m, rng.standard_normal(m.p), src, recv, grid, bad, led)
+    assert led.snapshot() == before
+
+
+@pytest.mark.parametrize("gridkw, src_cell, k", [
+    ({"dt_record": 0.4}, (10, 9), 2),
+    ({"boundary_width": 0}, (0, 9), 3),
+    ({"dt_record": 2.0}, (17, 3), 6),
+])
+def test_sigma_is_zero_beyond_two_rows_per_step(gridkw, src_cell, k):
+    # the bound the kept slabs rest on, on the reference's whole rows: the
+    # stencil reaches two rows per step, and no further
+    _, grid, m, _, recv = setup_problem(**gridkw)
+    assert cfl_substeps(m, grid) == k
+    src = SourceSpec(position=cells(grid, src_cell)[0], frequency=0.1)
+    _, scatter = forward_reference(m, src, recv, grid)
+    r = src_cell[0] + grid.boundary_width
+    dist = np.abs(np.arange(scatter.shape[1]) - r)
+    for n, sigma in enumerate(scatter):
+        assert np.all(sigma[dist > 2 * n] == 0.0)
+        for edge in (r - 2 * n, r + 2 * n):
+            if 0 <= edge < len(dist):
+                assert np.any(sigma[edge] != 0.0)
+
+
+@pytest.mark.parametrize("gridkw, src_cell", [({}, (10, 9)), ({"boundary_width": 0}, (0, 9)),
+                                               ({"dt_record": 2.0}, (23, 19))])
+def test_slabs_drop_only_zeros(monkeypatch, gridkw, src_cell):
+    # the same solves with every step kept on its whole band: the same kept
+    # cells, traces and gradient, bit for bit
+    rng, grid, m, _, recv = setup_problem(**gridkw)
+    src = SourceSpec(position=cells(grid, src_cell)[0], frequency=0.1)
+    recv += cells(grid, (20, 15))  # a duplicate receiver
+    q, direction = rng.standard_normal((len(recv), grid.nt)), rng.standard_normal(m.p)
+
+    def solves():
+        led = SolveLedger()
+        traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+        return (kept_rows(fld)[:, :, :-wave._HALO], traces,
+                adjoint_solve(m, q, fld, grid, led),
+                born_solve(m, direction, src, recv, grid, fld, led))
+
+    def whole_bands(self, row):
+        size = self.shape[0] * self.width
+        return [None] * self.n_steps, [n * size for n in range(self.n_steps + 1)]
+
+    slabbed = solves()
+    monkeypatch.setattr(wave._Workspace, "slabs", whole_bands)
+    for got, want in zip(slabbed, solves()):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("gridkw, k", [({}, 3), ({"boundary_width": 0}, 3),
                                         ({"dt_record": 0.4}, 1),
                                         ({"dt_record": 2.0}, 5)])
 def test_kept_field_bytes_is_the_kept_allocation(gridkw, k):
-    # the load-time bound on a kept field reads this size, never an array
+    # a kept field holds each step's slab; the load-time bound reads
+    # kept_field_bytes, never an array, so that must bound the allocation
     grid = small_grid(**gridkw)
     m = ModelGrid.zeros(grid.nx, grid.ny)
     assert cfl_substeps(m, grid) == k
     src = SourceSpec(position=(10 * grid.h, 9 * grid.h), frequency=0.1)
     _, fld = forward_solve(m, src, cells(grid, (3, 4)), grid, SolveLedger(),
                            keep_field=True)
-    assert fld.scatter.nbytes == grid.kept_field_bytes()
+    bw = grid.boundary_width
+    nxp, r = grid.nx + 2 * bw, 10 + bw
+    rows = sum(min(nxp, r + 2 * n + 1) - max(0, r - 2 * n)
+               for n in range(k * (grid.nt - 1)))
+    assert fld.scatter.nbytes == rows * (grid.ny + 2 * bw + 2) * 8
+    assert fld.scatter.nbytes <= grid.kept_field_bytes()
 
 
 def test_dropped_kept_fields_return_their_memory():
@@ -580,7 +653,8 @@ def test_dropped_kept_fields_return_their_memory():
     def rss():
         return int(statm.read_text().split()[1]) * page
 
-    # desk size: 149 steps of 104 x 106 band rows, 13.1 MB per field; in
+    # desk size: 149 steps of at most 104 band rows of 106, 12.0 MB per
+    # field with the source mid-band (91% of the whole bands' 13.1 MB); in
     # malloc's heap the second field would keep its pages after the first
     # had raised the mmap threshold
     grid = SimGrid(nx=64, ny=64, h=8000.0, c0=3150.0, dt_record=1.0, nt=150)
