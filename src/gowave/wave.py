@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class SimGrid:
     def kept_field_bytes(self) -> int:
         """The most bytes one kept forward field (``Wavefield.scatter``) can
         hold at the start model m = 0: every step's whole band. A field
-        stores each step only on the rows its wave can have reached
-        (``_Workspace.slabs``), so it holds less."""
+        stores each step only on the rows its wave can have reached (its
+        ``plan``), so it holds less."""
         nxp = self.nx + 2 * self.boundary_width
         nyp = self.ny + 2 * self.boundary_width
         return _substeps(self, self.c0) * (self.nt - 1) * nxp * (nyp + _HALO) * 8
@@ -184,7 +184,7 @@ class SourceSpec:
         return 1.5 / self.frequency
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Wavefield:
     """The forward sweep's scattering source, kept for the adjoint and Born.
 
@@ -197,18 +197,20 @@ class Wavefield:
     adjoint correlates against it and the Born sweep is driven by it
     without touching the forward field again. ``model`` and ``grid`` are
     copies of those the forward solve ran on; the adjoint and Born sweeps
-    refuse the field for any other.
+    refuse the field for any other, and Born for a source not at ``cell``.
 
     Each sigma^n is stored only on its slab: the band rows that the wave
-    from the source's band row ``source_row`` can have reached by step n
-    (``_Workspace.slabs``), outside which it is +0.0. The slabs lie one
-    after another in the flat ``scatter``, in the march's band layout: each
-    padded row followed by its _HALO gap columns, which carry no meaning;
-    the sweeps multiply them by a zero and discard the product.
+    from the source can have reached by step n, outside which it is +0.0.
+    ``plan`` is the ``(spans, at)`` of ``_Workspace.slabs``, built once by
+    the forward solve: step n's slab is band slice ``spans[n]``, held in
+    ``scatter[at[n]:at[n + 1]]``, in the march's band layout. Its _HALO gap
+    columns carry no meaning; the sweeps multiply them by a zero and
+    discard the product. No sweep derives the plan from ``cell`` again.
     """
 
-    scatter: np.ndarray            # (sum of the slab sizes,)
-    source_row: int                # the source's padded-grid row
+    scatter: np.ndarray            # (at[-1],)
+    plan: tuple[list, list] = field(repr=False)
+    cell: int                      # the source's band offset
     model: ModelGrid
     grid: SimGrid
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
@@ -359,9 +361,6 @@ class _Workspace:
     def field(self) -> np.ndarray:
         return np.zeros(self.size)
 
-    def band(self, f: np.ndarray) -> np.ndarray:
-        return f[self._band]
-
     def operands(self, f: np.ndarray) -> tuple:
         """The views of flat field ``f`` that one step reads: its band, then
         the band shifted by one row up and down and one column left and
@@ -398,26 +397,24 @@ class _Workspace:
         u two rows up and down, so outside those rows sigma^n is +0.0 in
         every cell but the gap columns, which the sweeps only ever multiply
         by a zero. Returns, for each internal step n, the band slice of its
-        rows, or None once they are the whole band; and the offsets ``at``:
-        step n's rows are ``scatter[at[n]:at[n + 1]]`` of a kept field.
+        rows; and the offsets ``at``: step n's rows are
+        ``scatter[at[n]:at[n + 1]]`` of a kept field.
         """
         nxp, w = self.shape[0], self.width
         n = np.arange(self.n_steps)
         lo, hi = np.maximum(0, row - 2 * n), np.minimum(nxp, row + 2 * n + 1)
         at = np.concatenate(([0], np.cumsum((hi - lo) * w))).tolist()
-        spans = [None if b - a == nxp else slice(a * w, b * w)
-                 for a, b in zip(lo.tolist(), hi.tolist())]
+        spans = [slice(a * w, b * w) for a, b in zip(lo.tolist(), hi.tolist())]
         return spans, at
 
-    def check_field(self, field: Wavefield) -> tuple[list, list]:
-        """Check that ``field`` was kept on this model and this grid, and
-        holds the slabs of its source row; return its ``slabs``."""
-        if field.grid == self.grid and \
-                np.array_equal(field.model.values, self.model.values) and \
-                0 <= field.source_row < self.shape[0]:
-            spans, at = self.slabs(field.source_row)
-            if field.scatter.shape == (at[-1],):
-                return spans, at
+    def check_field(self, fld: Wavefield) -> tuple[list, list]:
+        """Check that ``fld`` was kept on this model and this grid, with a
+        slab for each step that ends where its scatter does; return its plan."""
+        spans, at = fld.plan
+        if fld.grid == self.grid and \
+                np.array_equal(fld.model.values, self.model.values) and \
+                len(spans) == self.n_steps and fld.scatter.shape == (at[-1],):
+            return spans, at
         raise ValueError("forward field was produced with a different model or grid")
 
     def guard(self, field: np.ndarray, n: int, what: str):
@@ -449,8 +446,7 @@ class _Workspace:
         sigma = P - 60 u^n = 12 h^2 lap(u^n). Before the update,
         ``excite(n, p, u)`` sees P as a band, which it may edit in place,
         and u^n's band ``u``, which it must not. It may return a slab
-        ``(span, x)``: x is added to u^{n+1}'s band slice ``span``, or to the
-        whole band where ``span`` is None.
+        ``(span, x)``: x is added to u^{n+1}'s band slice ``span``.
         """
         k = self.k
         cells = self.band_offsets(self.receiver_cells)
@@ -473,7 +469,7 @@ class _Workspace:
                 nxt += p
                 if extra is not None:
                     span, x = extra
-                    part = nxt if span is None else nxt[span]
+                    part = nxt[span]
                     part += x
                 ops_prev, ops = ops, ops_prev
                 if (n + 1) % k == 0:
@@ -492,21 +488,18 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     """
     grid.check_source(source)
     ws = _Workspace(model, grid, receivers)
-    cell = ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0]
+    cell = int(ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0])
     # 12 h^2 f: the point source f = ricker / h^2 in sigma units
     f = 12.0 * ricker(ws.dt * np.arange(ws.n_steps), source.frequency, source.t0)
-    row = int(cell) // ws.width
     if keep_field:
-        spans, at = ws.slabs(row)
+        spans, at = plan = ws.slabs(cell // ws.width)
         scatter = mapped_zeros((at[-1],))
 
     def excite(n, p, u):
         p[cell] -= f[n]
         if keep_field:
             span = spans[n]
-            if span is not None:
-                u, p = u[span], p[span]
-            _sigma(u, p, scatter[at[n]:at[n + 1]])
+            _sigma(u[span], p[span], scatter[at[n]:at[n + 1]])
 
     traces, _ = ws.march(excite, "field")
     ledger.count_forward()
@@ -515,7 +508,7 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     # copies: an in-place edit of the caller's model or grid must not pass
     # check_field
     own = ModelGrid(model.values.copy(), model.nx, model.ny)
-    return traces, Wavefield(scatter=scatter, source_row=row, model=own,
+    return traces, Wavefield(scatter=scatter, plan=plan, cell=cell, model=own,
                              grid=replace(grid), receiver_cells=ws.receiver_cells)
 
 
@@ -555,10 +548,9 @@ def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
     corr = np.empty(gv.size)
 
     def image(psi, n):
-        g, c, span = gv, corr, spans[n - 1]
-        if span is not None:
-            g, c, psi = gv[span], corr[span], psi[span]
-        np.multiply(psi, scatter[at[n - 1]:at[n]], out=c)
+        span = spans[n - 1]
+        g, c = gv[span], corr[span]
+        np.multiply(psi[span], scatter[at[n - 1]:at[n]], out=c)
         np.add(g, c, out=g)
 
     def excite(j, p, u):
@@ -582,9 +574,9 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
 
     Propagates the single-scattered field that the model perturbation
     generates from the stored forward scattering source, and samples it at
-    the receivers. ``source`` and ``receivers`` are those the forward field
-    was computed for: the wavelet is already part of ``forward_field.scatter``,
-    and other receivers are refused. Counts one Born solve.
+    the receivers. ``source`` and ``receivers`` must be those the forward
+    field was kept for, or the solve is refused: the wavelet is already part
+    of ``forward_field.scatter``. Counts one Born solve.
     """
     direction = np.asarray(direction, dtype=np.float64).ravel()
     if direction.size != model.p:
@@ -593,6 +585,8 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     if not np.array_equal(ws.receiver_cells, forward_field.receiver_cells):
         raise ValueError("receivers differ from those the forward field was kept for")
     spans, at = ws.check_field(forward_field)
+    if ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0] != forward_field.cell:
+        raise ValueError("source differs from the one the forward field was kept for")
     scatter = forward_field.scatter
 
     dv = np.pad(ws.model_chain() * direction.reshape(model.nx, model.ny),
@@ -602,10 +596,9 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     extra = np.empty(kick.size)
 
     def excite(n, p, u):
-        kv, x, span = kick, extra, spans[n]
-        if span is not None:
-            kv, x = kick[span], extra[span]
-        np.multiply(kv, scatter[at[n]:at[n + 1]], out=x)
+        span = spans[n]
+        x = extra[span]
+        np.multiply(kick[span], scatter[at[n]:at[n + 1]], out=x)
         return span, x
 
     traces, _ = ws.march(excite, "scattered field")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gowave.problem as problem_module
+import gowave.wave as wave_module
 from gowave.ledger import SolveLedger
 from gowave.optim import run_gncg
 from gowave.problem import (
@@ -429,6 +430,25 @@ def test_gncg_never_holds_more_than_one_set_of_fields(peak_fields):
         run_gncg(prob, reg, h0, 10)))
     assert len(runs[0].records) >= 2  # the second sweep ran after a step
     assert peak == prob.n_sources
+
+
+def test_kept_field_plan_is_built_once_per_field(monkeypatch):
+    # the forward solve builds each kept field's slab plan; the adjoint and
+    # Born solves that reuse the field read it from there
+    prob, _ = make_problem(n_src=3, sigma=0.05)
+    m = ModelGrid.zeros(prob.grid.nx, prob.grid.ny)
+    calls = [0]
+    slabs = wave_module._Workspace.slabs
+
+    def counted(self, row):
+        calls[0] += 1
+        return slabs(self, row)
+
+    monkeypatch.setattr(wave_module._Workspace, "slabs", counted)
+    report = prob.misfit_and_gradients(m, keep_fields=True)
+    assert calls[0] == prob.n_sources
+    prob.gn_hessian_vec(m, np.ones(prob.p), fields=report.fields)
+    assert calls[0] == prob.n_sources
 
 
 # -- validation --------------------------------------------------------------

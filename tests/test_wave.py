@@ -2,14 +2,14 @@
 
 import os
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gowave.wave as wave
-from gowave.ledger import SolveLedger
+from gowave.ledger import LedgerSnapshot, SolveLedger
 from gowave.wave import (
     ModelGrid,
     SimGrid,
@@ -46,7 +46,7 @@ def kept_rows(fld):
     spans, at = ws.check_field(fld)
     full = np.zeros((ws.n_steps, ws.shape[0] * ws.width))
     for n, span in enumerate(spans):
-        full[n, slice(None) if span is None else span] = fld.scatter[at[n]:at[n + 1]]
+        full[n, span] = fld.scatter[at[n]:at[n + 1]]
     return full.reshape(ws.n_steps, ws.shape[0], ws.width)
 
 
@@ -196,9 +196,9 @@ def test_guard_raises_on_non_finite_or_huge_entries(bad, shown):
     grid = small_grid()
     ws = wave._Workspace(ModelGrid.zeros(grid.nx, grid.ny), grid)
     # a sum of squares past the quick bound falls back to the exact test
-    ws.guard(np.full(ws.band(ws.field()).size, 1e99), 3, "field")
+    ws.guard(np.full(ws.operands(ws.field())[0].size, 1e99), 3, "field")
     field = ws.field()
-    inside = ws.inside(ws.band(field))
+    inside = ws.inside(ws.operands(field)[0])
     inside[5, 7] = -1e100  # the largest magnitude that still passes
     ws.guard(field, 3, "field")
     inside[6, 2] = bad
@@ -242,7 +242,7 @@ def test_band_stencil_and_sigma_equal_2d_formula_bitwise(shape):
                    nt=4, boundary_width=0)
     ws = wave._Workspace(ModelGrid.zeros(*shape), grid)
     field = ws.field()
-    ws.inside(ws.band(field))[...] = u
+    ws.inside(ws.operands(field)[0])[...] = u
     ops = ws.operands(field)
     p = wave._stencil(ops, np.empty(ops[0].size))
     sigma = wave._sigma(ops[0], p, np.empty(p.size))
@@ -558,22 +558,39 @@ def test_wavefield_validates_snapshot_count():
     rng, grid, m, src, recv = setup_problem()
     led = SolveLedger()
     traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
-    width = grid.ny + 2 * grid.boundary_width + wave._HALO
-    assert fld.source_row == 10 + grid.boundary_width
+    q, direction = rng.standard_normal(traces.shape), rng.standard_normal(m.p)
+    want = adjoint_solve(m, q, fld, grid, SolveLedger())
+    bw = grid.boundary_width
+    width = grid.ny + 2 * bw + wave._HALO
+    row, col = divmod(fld.cell, width)
+    assert (row, col) == (10 + bw, 9 + bw)
+    spans, at = fld.plan
     before = led.snapshot()
-    # a field one entry or one band row short of its slabs, or one whose
-    # source row no longer gives its slabs, is refused before any solve is
-    # counted
-    for scatter, row in ((fld.scatter[:-1], fld.source_row),
-                         (fld.scatter[:-width], fld.source_row),
-                         (fld.scatter, fld.source_row + 1),
-                         (fld.scatter, -1)):
-        bad = replace(fld, scatter=scatter, source_row=row)
+    # a plan one step short, or one whose slabs run past the scatter by an
+    # entry or a band row, is refused before any solve is counted
+    for bad in (replace(fld, plan=(spans[:-1], at[:-1])),
+                replace(fld, scatter=fld.scatter[:-1]),
+                replace(fld, scatter=fld.scatter[:-width])):
         with pytest.raises(ValueError, match="different model or grid"):
-            adjoint_solve(m, traces, bad, grid, led)
+            adjoint_solve(m, q, bad, grid, led)
         with pytest.raises(ValueError, match="different model or grid"):
-            born_solve(m, rng.standard_normal(m.p), src, recv, grid, bad, led)
+            born_solve(m, direction, src, recv, grid, bad, led)
+    # Born refuses a field kept for another source: the mirrored row, with
+    # the same slab total, or one cell away
+    mirrored = replace(fld, cell=(grid.nx + 2 * bw - 1 - row) * width + col)
+    with pytest.raises(ValueError, match="source differs"):
+        born_solve(m, direction, src, recv, grid, mirrored, led)
+    for ix, iy in ((10, 10), (11, 9)):
+        near = SourceSpec(position=cells(grid, (ix, iy))[0], frequency=0.1)
+        with pytest.raises(ValueError, match="source differs"):
+            born_solve(m, direction, near, recv, grid, fld, led)
     assert led.snapshot() == before
+    # the adjoint reads the kept plan, not the cell, so the mirrored field
+    # gives the true gradient
+    assert adjoint_solve(m, q, mirrored, grid, led).tobytes() == want.tobytes()
+    assert led.delta(before) == LedgerSnapshot(0, 1, 0)
+    with pytest.raises(FrozenInstanceError):
+        fld.cell = row * width
 
 
 @pytest.mark.parametrize("gridkw, src_cell, k", [
@@ -616,7 +633,7 @@ def test_slabs_drop_only_zeros(monkeypatch, gridkw, src_cell):
 
     def whole_bands(self, row):
         size = self.shape[0] * self.width
-        return [None] * self.n_steps, [n * size for n in range(self.n_steps + 1)]
+        return [slice(0, size)] * self.n_steps, [n * size for n in range(self.n_steps + 1)]
 
     slabbed = solves()
     monkeypatch.setattr(wave._Workspace, "slabs", whole_bands)
