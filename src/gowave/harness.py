@@ -356,8 +356,7 @@ def gen_geometry(spec: GeometrySpec, extent: tuple, frequency: float) -> Geometr
                 raise RuntimeError("could not place a jittered source inside "
                                    "the domain after 100 attempts")
         src = np.vstack([src, extra])
-    sources = [SourceSpec(position=(float(p[0]), float(p[1])), frequency=frequency)
-               for p in src]
+    sources = [SourceSpec(position=p, frequency=frequency) for p in src]
     return Geometry(sources=sources, receivers=rec)
 
 

@@ -281,7 +281,9 @@ def two_loop_apply(pairs, base_apply, grad: np.ndarray) -> np.ndarray:
 
 
 class _Run:
-    """State of one optimizer run and the loop shared by every driver."""
+    """One optimizer run and the loop shared by every method. The run holds
+    its settings and the iterate the direction rules read; ``drive`` holds
+    the rest of its state: the trace, the status and f and g at the iterate."""
 
     def __init__(self, name, problem, reg, budget: int, policy):
         if budget < 1:
@@ -291,14 +293,12 @@ class _Run:
         self.reg = reg
         self.budget = budget
         self.policy = policy
-        self._start = problem.ledger.snapshot()
+        self._start = problem.ledger.total
         self.values = reg.m0.copy()
-        self.records = []
-        self.status = "budget"
 
     def used(self) -> int:
         """Solves the problem's ledger has counted since the run began."""
-        return self.problem.ledger.delta(self._start).total
+        return self.problem.ledger.total - self._start
 
     def model(self, values) -> ModelGrid:
         return ModelGrid(values, self.problem.grid.nx, self.problem.grid.ny)
@@ -307,57 +307,45 @@ class _Run:
         total, _ = self.problem.misfit_only(self.model(values))
         return total + self.reg.value(values)
 
-    def eval_fg(self, keep_fields=False):
-        """Objective with total gradient at the current values; also returns
-        the raw report."""
-        report = self.problem.misfit_and_gradients(self.model(self.values),
-                                                   keep_fields=keep_fields)
-        f = report.total + self.reg.value(self.values)
-        g = report.gradients.sum(axis=0) + self.reg.grad(self.values)
-        return f, g, report
-
-    def model_error(self) -> float:
-        if self.problem.m_true is None:
-            return float("nan")
-        return float(np.linalg.norm(self.problem.m_true.values - self.values))
-
-    def record(self, it, f, gnorm, step, ls_evals, extra):
-        self.records.append(TraceRecord(
-            iter=it, solves=self.used(), objective=f, grad_norm=gnorm,
-            model_error=self.model_error(), step=step, ls_evals=ls_evals,
-            extra=extra,
-        ))
-
     def drive(self, direction, keep_fields=False) -> RunResult:
         """Iterate: evaluate, record, ask `direction(g, report)` for the
         step (p, extra), linesearch along it, until the budget is spent,
         the gradient vanishes, p is not a descent direction or no trial
         decreases F."""
+        m_true = self.problem.m_true
+        records, status = [], "budget"
         it, alpha, evals, extra = 0, 0.0, 0, ""
         while True:
-            f, g, report = self.eval_fg(keep_fields)
+            report = self.problem.misfit_and_gradients(self.model(self.values),
+                                                       keep_fields=keep_fields)
+            f = report.total + self.reg.value(self.values)
+            g = report.gradients.sum(axis=0) + self.reg.grad(self.values)
             gnorm = float(np.linalg.norm(g))
-            self.record(it, f, gnorm, alpha, evals, extra)
+            error = float("nan") if m_true is None else \
+                float(np.linalg.norm(m_true.values - self.values))
+            records.append(TraceRecord(
+                iter=it, solves=self.used(), objective=f, grad_norm=gnorm,
+                model_error=error, step=alpha, ls_evals=evals, extra=extra))
             if self.used() >= self.budget:
                 break
             if gnorm == 0.0:
-                self.status = "converged"
+                status = "converged"
                 break
             p, extra = direction(g, report)
             g0 = float(np.dot(g, p))
             if g0 >= 0.0:
-                self.status = "stalled"
+                status = "stalled"
                 break
             # free gncg's kept fields before the linesearch and next sweep
             report = None
             alpha, new_values, _, evals = linesearch(
                 self.objective, self.values, p, f, g0, self.policy)
             if new_values is None:
-                self.status = "stalled"
+                status = "stalled"
                 break
             self.values = new_values
             it += 1
-        return RunResult(name=self.name, records=self.records, status=self.status,
+        return RunResult(name=self.name, records=records, status=status,
                          solves=self.used(), m_final=self.values)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,10 @@ class SolverBlowupError(RuntimeError):
     """Raised when the time stepping produces a non-finite field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimGrid:
-    """Discretization of the square domain and the recording clock.
+    """Discretization of the square domain and the recording clock; frozen,
+    so an edit is a new grid made with ``dataclasses.replace``.
 
     nx, ny
         interior cell counts (the model lives on nx * ny cells)
@@ -166,14 +167,18 @@ class ModelGrid:
         return self.values.reshape(self.nx, self.ny)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceSpec:
-    """Point source with a Ricker source-time function."""
+    """Point source with a Ricker source-time function. Frozen, and
+    ``position`` is held as a tuple of two floats whatever sequence it was
+    given as, so two specs of one source compare equal."""
 
     position: tuple[float, float]
     frequency: float
 
     def __post_init__(self):
+        x, y = self.position
+        object.__setattr__(self, "position", (float(x), float(y)))
         if self.frequency <= 0:
             raise ValueError(f"source.frequency = {self.frequency!r} must be positive")
 
@@ -195,9 +200,10 @@ class Wavefield:
     substeps, so there are substeps * (nt - 1) steps). A model perturbation
     dv scatters the wave through ``dv * sigma^n / (12 h^2)``, so the
     adjoint correlates against it and the Born sweep is driven by it
-    without touching the forward field again. ``model`` and ``grid`` are
-    copies of those the forward solve ran on; the adjoint and Born sweeps
-    refuse the field for any other, and Born for a source not at ``cell``.
+    without touching the forward field again. ``model`` is a copy of the
+    model the forward solve ran on, and ``grid`` and ``source`` are the
+    frozen grid and source it ran with; the adjoint and Born sweeps refuse
+    the field for any other model or grid, and Born for any other source.
 
     Each sigma^n is stored only on its slab: the band rows that the wave
     from the source can have reached by step n, outside which it is +0.0.
@@ -205,12 +211,12 @@ class Wavefield:
     the forward solve: step n's slab is band slice ``spans[n]``, held in
     ``scatter[at[n]:at[n + 1]]``, in the march's band layout. Its _HALO gap
     columns carry no meaning; the sweeps multiply them by a zero and
-    discard the product. No sweep derives the plan from ``cell`` again.
+    discard the product. No sweep derives the plan from the source again.
     """
 
     scatter: np.ndarray            # (at[-1],)
     plan: tuple[list, list] = field(repr=False)
-    cell: int                      # the source's band offset
+    source: SourceSpec
     model: ModelGrid
     grid: SimGrid
     receiver_cells: np.ndarray     # (n_r, 2) padded-array indices
@@ -505,11 +511,10 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     ledger.count_forward()
     if not keep_field:
         return traces, None
-    # copies: an in-place edit of the caller's model or grid must not pass
-    # check_field
+    # a copy: an in-place edit of the caller's model must not pass check_field
     own = ModelGrid(model.values.copy(), model.nx, model.ny)
-    return traces, Wavefield(scatter=scatter, plan=plan, cell=cell, model=own,
-                             grid=replace(grid), receiver_cells=ws.receiver_cells)
+    return traces, Wavefield(scatter=scatter, plan=plan, source=source, model=own,
+                             grid=grid, receiver_cells=ws.receiver_cells)
 
 
 def adjoint_solve(model: ModelGrid, weighted_residual_traces: np.ndarray,
@@ -574,9 +579,11 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
 
     Propagates the single-scattered field that the model perturbation
     generates from the stored forward scattering source, and samples it at
-    the receivers. ``source`` and ``receivers`` must be those the forward
-    field was kept for, or the solve is refused: the wavelet is already part
-    of ``forward_field.scatter``. Counts one Born solve.
+    the receivers. ``source`` must equal the one the forward field was kept
+    for, in frequency and in position (not just its cell), and
+    ``receivers`` must snap to the field's receiver cells, or the solve is
+    refused before it is counted: the wavelet is already part of
+    ``forward_field.scatter``. Counts one Born solve.
     """
     direction = np.asarray(direction, dtype=np.float64).ravel()
     if direction.size != model.p:
@@ -585,7 +592,7 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
     if not np.array_equal(ws.receiver_cells, forward_field.receiver_cells):
         raise ValueError("receivers differ from those the forward field was kept for")
     spans, at = ws.check_field(forward_field)
-    if ws.band_offsets(grid.snap_all([source.position]) + ws.bw)[0] != forward_field.cell:
+    if source != forward_field.source:
         raise ValueError("source differs from the one the forward field was kept for")
     scatter = forward_field.scatter
 
