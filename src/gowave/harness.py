@@ -31,11 +31,13 @@ from .wave import (ModelGrid, SimGrid, SourceSpec, cfl_substeps,
 
 OPTIMIZER_NAMES = ("gogn", "nlcg", "lbfgs", "gncg")
 
-# Largest kept forward field a config may imply at the start model m = 0:
-# gncg holds one per source and every other method one at a time. It also
-# bounds the curvature factor that nlcg and lbfgs build, and the set-up's
-# receiver-weight and seismogram arrays.
-KEPT_FIELD_LIMIT_BYTES = 10**9
+# Largest array a config may imply, checked by validate() before any solve,
+# with N = max(n_sources, augment_to): one kept forward field at the start
+# model m = 0 (gncg holds one per source, every other method one at a time),
+# the set-up's receiver weights and seismograms, the (N, nx ny) per-source
+# gradients, gogn's (N, N) system, the regularizer's cosine basis, and the
+# curvature factor that nlcg and lbfgs build.
+ARRAY_LIMIT_BYTES = 10**9
 
 
 class ConfigError(Exception):
@@ -100,16 +102,40 @@ class ExperimentConfig:
                     raise ConfigError(f"{section}.{key} must be non-negative")
                 if key in ("budget", "threads") and value < 1:
                     raise ConfigError(f"{section}.{key} must be positive")
+        if self.geometry.n_sources < 1:
+            raise ConfigError("need at least one source")
+        if self.geometry.n_receivers < 1:
+            raise ConfigError("need at least one receiver")
         grid = self.sim_grid()
         try:
-            kept = float(grid.kept_field_bytes())
-        except OverflowError:  # the substep or byte count passes the float range
-            kept = float("inf")
-        if kept > KEPT_FIELD_LIMIT_BYTES:
-            raise ConfigError(
-                f"one kept forward field would hold {kept / 1e9:.3g} GB, past the "
-                f"{KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit: reduce the grid, "
-                "nt or the substeps (dt * c0 / h)")
+            kept = grid.kept_field_bytes()
+        except OverflowError:  # the substep count passes the float range
+            kept = np.inf
+        n_r = self.geometry.n_receivers
+        n_s = max(self.geometry.n_sources, self.geometry.augment_to)
+        factored = [n for n in ("nlcg", "lbfgs") if n in self.optimizers]
+        for lead, nbytes, what, remedy in (
+                ("one kept forward field would hold", kept, "",
+                 ": reduce the grid, nt or the substeps (dt * c0 / h)"),
+                (f"geometry.n_receivers = {n_r} would need", 16 * n_r * n_r,
+                 " for the receiver weights' (n_r, n_r, 2) distances", ""),
+                ("geometry.n_sources, augment_to, n_receivers and grid.nt would need",
+                 16 * n_s * n_r * self.nt, " for the clean and observed seismograms",
+                 ""),
+                ("geometry.n_sources, augment_to, grid.nx and ny would need",
+                 8 * n_s * self.nx * self.ny, " for the per-source gradients", ""),
+                ("geometry.n_sources and augment_to would need",
+                 8 * n_s * n_s * ("gogn" in self.optimizers), " for gogn's (N, N) "
+                 "system", ": reduce the sources or leave gogn out of run.optimizers"),
+                ("grid.nx and ny would need", 8 * max(self.nx, self.ny) ** 2,
+                 " for the regularizer's cosine basis", ""),
+                (f"{' and '.join(factored)} would factor a",
+                 curvature_factor_nbytes(self.nx, self.ny) * bool(factored),
+                 " curvature model", ": reduce the grid or run gogn and gncg only")):
+            if nbytes > ARRAY_LIMIT_BYTES:
+                gb = nbytes / 1e9 if nbytes < 1e308 else np.inf  # an int may pass float64
+                raise ConfigError(f"{lead} {gb:.3g} GB{what}, past the "
+                                  f"{ARRAY_LIMIT_BYTES / 1e9:.3g} GB limit{remedy}")
         with _config_error():
             grid.check_source(SourceSpec((0.0, 0.0), self.frequency))
         five_h = 5.0 * self.h  # nu = auto squares it
@@ -120,21 +146,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown geometry kind {self.geometry.kind!r}")
         if self.geometry.kind == "from-file" and not self.geometry.file:
             raise ConfigError("geometry kind from-file needs a file")
-        if self.geometry.n_sources < 1:
-            raise ConfigError("need at least one source")
-        if self.geometry.n_receivers < 1:
-            raise ConfigError("need at least one receiver")
-        n_r = self.geometry.n_receivers
-        traces = max(self.geometry.n_sources, self.geometry.augment_to) * n_r
-        for keys, nbytes, what in (
-                (f"geometry.n_receivers = {n_r}", 16 * n_r * n_r,
-                 "the receiver weights' (n_r, n_r, 2) distances"),
-                ("geometry.n_sources, augment_to, n_receivers and grid.nt",
-                 16 * traces * self.nt, "the clean and observed seismograms")):
-            if nbytes > KEPT_FIELD_LIMIT_BYTES:
-                raise ConfigError(
-                    f"{keys} would need {nbytes / 1e9:.3g} GB for {what}, past "
-                    f"the {KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB limit")
         if self.target.kind not in ("face", "disks", "from-file"):
             raise ConfigError(f"unknown target kind {self.target.kind!r}")
         if self.target.kind == "from-file" and not self.target.file:
@@ -149,13 +160,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown optimizers {unknown}")
         if len(set(self.optimizers)) != len(self.optimizers):
             raise ConfigError(f"repeated optimizers in {list(self.optimizers)}")
-        factored = [n for n in self.optimizers if n in ("nlcg", "lbfgs")]
-        factor = curvature_factor_nbytes(self.nx, self.ny)
-        if factored and factor > KEPT_FIELD_LIMIT_BYTES:
-            raise ConfigError(
-                f"{' and '.join(factored)} would factor a {factor / 1e9:.3g} GB "
-                f"curvature model, past the {KEPT_FIELD_LIMIT_BYTES / 1e9:.3g} GB "
-                "limit: reduce the grid or run gogn and gncg only")
         with _config_error("linesearch: "):
             LinesearchPolicy(step_cap=self.ls_step_cap)
         for key in ("lam", "nu"):

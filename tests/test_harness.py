@@ -245,6 +245,40 @@ class TestConfig:
         ExperimentConfig(nx=64, ny=1024, optimizers=("gogn",)).validate()
         ExperimentConfig(nx=1024, ny=64, optimizers=("nlcg",)).validate()
 
+    # each passes every other size bound; validated only, never run
+    RUN_ARRAYS = [
+        (dict(geometry=GeometrySpec(augment_to=40000, n_receivers=10)),
+         "geometry.n_sources, augment_to, grid.nx and ny would need 1.31 GB "
+         "for the per-source gradients, past the 1 GB"),
+        (dict(geometry=GeometrySpec(augment_to=12000, n_receivers=10)),
+         "geometry.n_sources and augment_to would need 1.15 GB for gogn's "
+         "(N, N) system, past the 1 GB"),
+        (dict(nx=100_000, ny=16, nt=17),
+         "grid.nx and ny would need 80 GB for the regularizer's cosine basis, "
+         "past the 1 GB"),
+    ]
+
+    @pytest.mark.parametrize("overrides, shown", RUN_ARRAYS,
+                             ids=["gradients", "gogn-system", "cosine-basis"])
+    def test_run_arrays_are_bounded(self, overrides, shown):
+        with pytest.raises(ConfigError, match=re.escape(shown)):
+            ExperimentConfig(**overrides).validate()
+
+    def test_run_arrays_are_bounded_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(harness, "forward_solve",
+                            lambda *args, **kw: pytest.fail("a solve ran"))
+        overrides, shown = self.RUN_ARRAYS[1]
+        with pytest.raises(ConfigError, match=re.escape(shown)):
+            prepare_experiment(ExperimentConfig(**overrides))
+        # without gogn nothing holds the (N, N) system
+        ExperimentConfig(optimizers=("nlcg", "lbfgs", "gncg"), **overrides).validate()
+
+    def test_byte_count_past_the_float_range_reads_inf(self):
+        # a config int has no bound; dividing its byte count by 1e9 raised
+        # OverflowError
+        with pytest.raises(ConfigError, match="would need inf GB for the clean"):
+            ExperimentConfig(geometry=GeometrySpec(n_sources=10**400)).validate()
+
     def test_regularizer_spectrum_must_fit_float64(self, monkeypatch):
         # D^T D's spectrum runs from (lam nu)^2 to below (lam (nu + 8/h^2))^2;
         # lam = 1e-300 made the normal solve's SVD fail to converge, and
@@ -295,7 +329,7 @@ class TestConfig:
         huge = ExperimentConfig(dt=1000.0)
         nbytes = huge.sim_grid().kept_field_bytes()
         assert nbytes == 788 * 149 * 104 * 106 * 8
-        assert nbytes > harness.KEPT_FIELD_LIMIT_BYTES
+        assert nbytes > harness.ARRAY_LIMIT_BYTES
         with pytest.raises(ConfigError, match=r"would hold 10\.4 GB, past the 1 GB"):
             huge.validate()
         with pytest.raises(ConfigError, match="would hold inf GB"):
