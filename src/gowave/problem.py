@@ -188,15 +188,16 @@ class FwiProblem:
                 m, src, self.geom.receivers, self.grid, self.ledger,
                 keep_field=want_gradients or keep_fields,
             )
-            resid = traces - self.data.observed[i]
+            resid = np.subtract(traces, self.data.observed[i], out=traces)
             with np.errstate(over="ignore", invalid="ignore"):  # the adjoint's guard reports it
                 wsq_resid = (self.data.weights[:, i] ** 2)[:, None] * resid
                 phi[i] = 0.5 * float(np.sum(wsq_resid * resid))
+            del traces, resid  # dead before the adjoint allocates its injection
             if want_gradients:
                 grads[i] = adjoint_solve(m, wsq_resid, fld, self.grid, self.ledger)
             if keep_fields:
                 fields.append(fld)
-            del fld  # unless kept, free this field before the next forward solve
+            del fld, wsq_resid  # unless kept, none outlives this source
         return phi, grads, fields
 
     def misfit_only(self, m: ModelGrid):
@@ -226,11 +227,11 @@ class FwiProblem:
                                     self.ledger, keep_field=True)[1]
             else:
                 fld = fields[i]
-            d_traces = born_solve(m, v, src, self.geom.receivers, self.grid,
-                                  fld, self.ledger)
-            wsq = (self.data.weights[:, i] ** 2)[:, None] * d_traces
+            wsq = born_solve(m, v, src, self.geom.receivers, self.grid,
+                             fld, self.ledger)
+            np.multiply((self.data.weights[:, i] ** 2)[:, None], wsq, out=wsq)
             out += adjoint_solve(m, wsq, fld, self.grid, self.ledger)
-            del fld  # free a field solved here before the next forward solve
+            del fld, wsq  # free what was solved here before the next forward solve
         return out
 
     def diag_gn_estimate(self, m0: ModelGrid) -> np.ndarray:

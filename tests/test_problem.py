@@ -29,16 +29,19 @@ def make_grid(**kw):
     return SimGrid(**base)
 
 
-def make_problem(seed=0, n_src=2, sigma=0.0, grid=None, m_true_scale=0.03):
-    """Small self-consistent instance: data generated from a random m_true."""
+def make_problem(seed=0, n_src=2, sigma=0.0, grid=None, m_true_scale=0.03,
+                 many_receivers=False):
+    """Small self-consistent instance: data generated from a random m_true.
+    With many_receivers, 32 receivers along two rows in place of six."""
     rng = np.random.default_rng(seed)
     grid = grid or make_grid()
     h = grid.h
     srcs = [SourceSpec(position=(5 * h, 5 * h), frequency=0.1),
             SourceSpec(position=(14 * h, 13 * h), frequency=0.1),
             SourceSpec(position=(4 * h, 15 * h), frequency=0.1)][:n_src]
-    recv = [(ix * h, iy * h) for ix, iy in
-            ((2, 2), (17, 3), (9, 17), (16, 16), (3, 10), (10, 3))]
+    cells = ([(ix, iy) for iy in (2, 17) for ix in range(2, 18)] if many_receivers
+             else ((2, 2), (17, 3), (9, 17), (16, 16), (3, 10), (10, 3)))
+    recv = [(ix * h, iy * h) for ix, iy in cells]
     geom = Geometry(sources=srcs, receivers=recv)
     m_true = ModelGrid(m_true_scale * rng.standard_normal(grid.nx * grid.ny),
                        grid.nx, grid.ny)
@@ -430,6 +433,95 @@ def test_gncg_never_holds_more_than_one_set_of_fields(peak_fields):
         run_gncg(prob, reg, h0, 10)))
     assert len(runs[0].records) >= 2  # the second sweep ran after a step
     assert peak == prob.n_sources
+
+
+@pytest.fixture()
+def traced_solves(monkeypatch):
+    """traced_solves(fn) runs fn and tracks the traces arrays that the
+    problem module's forward_solve and born_solve return meanwhile. It
+    returns one (kind, alive, residual) entry per forward or adjoint solve,
+    taken as the solve starts: kind is "forward" or "adjoint", alive the ids
+    of the tracked arrays alive then, and residual the id of the adjoint's
+    residual argument (None for a forward solve)."""
+    alive, log = set(), []
+    forward = problem_module.forward_solve
+    born = problem_module.born_solve
+    adjoint = problem_module.adjoint_solve
+
+    def track(traces):
+        alive.add(id(traces))
+        weakref.finalize(traces, alive.discard, id(traces))
+        return traces
+
+    def tracked_forward(*args, **kwargs):
+        log.append(("forward", set(alive), None))
+        traces, fld = forward(*args, **kwargs)
+        return track(traces), fld
+
+    def tracked_born(*args, **kwargs):
+        return track(born(*args, **kwargs))
+
+    def tracked_adjoint(model, residual, *args, **kwargs):
+        log.append(("adjoint", set(alive), id(residual)))
+        return adjoint(model, residual, *args, **kwargs)
+
+    def trace(fn):
+        monkeypatch.setattr(problem_module, "forward_solve", tracked_forward)
+        monkeypatch.setattr(problem_module, "born_solve", tracked_born)
+        monkeypatch.setattr(problem_module, "adjoint_solve", tracked_adjoint)
+        del log[:]
+        fn()
+        monkeypatch.undo()
+        return list(log)
+
+    return trace
+
+
+def test_sweeps_free_each_sources_traces_before_its_adjoint(traced_solves):
+    # the residual is formed in the forward's traces, which die before the
+    # adjoint starts; nothing of one source lives into the next forward solve
+    prob, _ = make_problem(n_src=3, sigma=0.05, many_receivers=True)
+    m = ModelGrid.zeros(prob.grid.nx, prob.grid.ny)
+    log = traced_solves(lambda: (prob.misfit_only(m), prob.misfit_and_gradients(m)))
+    assert [kind for kind, _, _ in log] == ["forward"] * 3 + ["forward", "adjoint"] * 3
+    assert all(not alive for _, alive, _ in log)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_hessian_product_holds_only_the_born_residual(traced_solves, cached):
+    # the Born traces are weighted in place and are the adjoint's residual
+    prob, _ = make_problem(n_src=3, sigma=0.05, many_receivers=True)
+    m = ModelGrid.zeros(prob.grid.nx, prob.grid.ny)
+    fields = prob.misfit_and_gradients(m, keep_fields=True).fields if cached else None
+    log = traced_solves(lambda: prob.gn_hessian_vec(m, np.ones(prob.p), fields=fields))
+    adjoints = [(alive, residual) for kind, alive, residual in log if kind == "adjoint"]
+    forwards = [alive for kind, alive, _ in log if kind == "forward"]
+    assert len(adjoints) == prob.n_sources
+    assert len(forwards) == (0 if cached else prob.n_sources)
+    assert all(alive == {residual} for alive, residual in adjoints)
+    assert all(not alive for alive in forwards)
+
+
+def test_sweeps_leave_the_data_and_direction_unchanged():
+    # residuals and Born traces are formed in place; the data never are
+    prob, _ = make_problem(n_src=3, sigma=0.05)
+    rng = np.random.default_rng(4)
+    m = ModelGrid(0.01 * rng.standard_normal(prob.p), prob.grid.nx, prob.grid.ny)
+    v = rng.standard_normal(prob.p)
+
+    def inputs():
+        return [o.tobytes() for o in prob.data.observed] + [
+            prob.data.weights.tobytes(), v.tobytes()]
+
+    before = inputs()
+    prob.misfit_only(m)
+    assert inputs() == before
+    report = prob.misfit_and_gradients(m, keep_fields=True)
+    assert inputs() == before
+    prob.gn_hessian_vec(m, v)
+    assert inputs() == before
+    prob.gn_hessian_vec(m, v, fields=report.fields)
+    assert inputs() == before
 
 
 def test_kept_field_plan_is_built_once_per_field(monkeypatch):

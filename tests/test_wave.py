@@ -406,6 +406,21 @@ def test_born_adjoint_transpose_pair():
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
+def test_adjoint_and_born_solves_leave_their_inputs_unchanged():
+    # the adjoint scales its injection in place and the problem layer
+    # weights Born traces in place; neither may write into what it was given
+    rng, grid, m, src, recv = setup_problem()
+    led = SolveLedger()
+    traces, fld = forward_solve(m, src, recv, grid, led, keep_field=True)
+    q = rng.standard_normal(traces.shape)
+    v = rng.standard_normal(m.p)
+    q_bytes, v_bytes = q.tobytes(), v.tobytes()
+    adjoint_solve(m, q, fld, grid, led)
+    born_solve(m, v, src, recv, grid, fld, led)
+    assert q.tobytes() == q_bytes
+    assert v.tobytes() == v_bytes
+
+
 def test_born_matches_forward_difference():
     rng, grid, m, src, recv = setup_problem(seed=11)
     led = SolveLedger()
