@@ -282,8 +282,10 @@ def two_loop_apply(pairs, base_apply, grad: np.ndarray) -> np.ndarray:
 
 class _Run:
     """One optimizer run and the loop shared by every method. The run holds
-    its settings and the iterate the direction rules read; ``drive`` holds
-    the rest of its state: the trace, the status and f and g at the iterate."""
+    its settings and the iterate the direction rules read, as the one
+    read-only ``ModelGrid`` that its sweep's kept fields also hold; ``drive``
+    holds the rest of its state: the trace, the status and f and g at the
+    iterate."""
 
     def __init__(self, name, problem, reg, budget: int, policy):
         if budget < 1:
@@ -294,11 +296,15 @@ class _Run:
         self.budget = budget
         self.policy = policy
         self._start = problem.ledger.total
-        self.values = reg.m0.copy()
+        self.iterate = self.model(reg.m0)
 
     def used(self) -> int:
         """Solves the problem's ledger has counted since the run began."""
         return self.problem.ledger.total - self._start
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.iterate.values
 
     def model(self, values) -> ModelGrid:
         return ModelGrid(values, self.problem.grid.nx, self.problem.grid.ny)
@@ -316,7 +322,7 @@ class _Run:
         records, status = [], "budget"
         it, alpha, evals, extra = 0, 0.0, 0, ""
         while True:
-            report = self.problem.misfit_and_gradients(self.model(self.values),
+            report = self.problem.misfit_and_gradients(self.iterate,
                                                        keep_fields=keep_fields)
             f = report.total + self.reg.value(self.values)
             g = report.gradients.sum(axis=0) + self.reg.grad(self.values)
@@ -343,7 +349,8 @@ class _Run:
             if new_values is None:
                 status = "stalled"
                 break
-            self.values = new_values
+            self.iterate = self.model(new_values)
+            del new_values  # the iterate holds its own copy
             it += 1
         return RunResult(name=self.name, records=records, status=status,
                          solves=self.used(), m_final=self.values)
@@ -440,7 +447,7 @@ def run_gncg(problem, reg, h0_diag, budget) -> RunResult:
             z = precond(r)
             rz_prev, rz = rz, float(np.dot(r, z))
             d = z if d is None else z + (rz / rz_prev) * d
-            hd = problem.gn_hessian_vec(run.model(run.values), d,
+            hd = problem.gn_hessian_vec(run.iterate, d,
                                         fields=report.fields) + reg.hess_vec(d)
             products += 1
             dhd = float(np.dot(d, hd))

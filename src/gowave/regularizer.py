@@ -20,6 +20,8 @@ request, for the tests.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -55,7 +57,8 @@ class SmoothingOperator:
 
     m0 is the reference model, an array-like of nx * ny entries. The
     products and the normal solve are both computed here from (lam, nu, h);
-    the CSR matrix ``D`` is made on first use. ``harness.run_one`` builds a
+    the cosine basis is built on the first normal solve, and the CSR matrix
+    ``D`` on its first use. ``harness.run_one`` builds a
     fresh operator for each run, so one run owns it and its scratch array,
     also when runs execute on several threads.
     """
@@ -97,12 +100,16 @@ class SmoothingOperator:
                                 self._scratch[rows]))
         self._D = None
 
-        # D = (Qx kron Qy) diag(d) (Qx kron Qy)^T with
-        # d_kl = lam (nu + 4 sin^2(pi k / 2nx) / h^2 + 4 sin^2(pi l / 2ny) / h^2)
+    @cached_property
+    def _eigenbasis(self) -> tuple:
+        """(Qx, Qy, 1 / d^2) of D = (Qx kron Qy) diag(d) (Qx kron Qy)^T, with
+        d_kl = lam (nu + 4 sin^2(pi k / 2nx) / h^2 + 4 sin^2(pi l / 2ny) / h^2);
+        built on the first normal solve, so a run that never solves with
+        D^T D never holds them."""
         sx, sy = (4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 / self.h**2
-                  for n in (nx, ny))
+                  for n in (self.nx, self.ny))
         d = self.lam * (self.nu + np.add.outer(sx, sy))
-        self._qx, self._qy, self._inv_d2 = _dct_basis(nx), _dct_basis(ny), 1.0 / (d * d)
+        return _dct_basis(self.nx), _dct_basis(self.ny), 1.0 / (d * d)
 
     @property
     def D(self):
@@ -167,13 +174,14 @@ class SmoothingOperator:
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.size != self.p:
             raise ValueError(f"vector has {b.size} entries, expected {self.p}")
-        coeffs = self._qx.T @ b.reshape(self.nx, self.ny) @ self._qy * self._inv_d2
+        qx, qy, inv_d2 = self._eigenbasis
+        coeffs = qx.T @ b.reshape(self.nx, self.ny) @ qy * inv_d2
         # The constant mode has the smallest eigenvalue and dominates x. Added
         # after the products it is rounded once per cell, not once per term,
         # which keeps the round trip through D^T D at the rounding floor of x.
         mean = coeffs[0, 0] / np.sqrt(b.size)
         coeffs[0, 0] = 0.0
-        return (self._qx @ coeffs @ self._qy.T + mean).ravel()
+        return (qx @ coeffs @ qy.T + mean).ravel()
 
 
 def build(nx: int, ny: int, h: float, lam: float, nu: float, m0) -> SmoothingOperator:

@@ -136,16 +136,24 @@ class SimGrid:
         return cells.astype(np.intp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelGrid:
-    """Dimensionless speed perturbation dc/c0, flattened row-major over (nx, ny)."""
+    """Dimensionless speed perturbation dc/c0, flattened row-major over (nx, ny).
+
+    Frozen and read-only: ``values`` is the model's own float64 copy of
+    the array it was given, with its ``writeable`` flag off, so an edited
+    model is a new ``ModelGrid``. A kept field can therefore hold the model
+    it was solved on, not a copy of it.
+    """
 
     values: np.ndarray
     nx: int
     ny: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
+        values = np.array(self.values, dtype=np.float64).ravel()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if self.values.size != self.nx * self.ny:
             raise ValueError(
                 f"model has {self.values.size} entries, expected {self.nx * self.ny}"
@@ -200,10 +208,11 @@ class Wavefield:
     substeps, so there are substeps * (nt - 1) steps). A model perturbation
     dv scatters the wave through ``dv * sigma^n / (12 h^2)``, so the
     adjoint correlates against it and the Born sweep is driven by it
-    without touching the forward field again. ``model`` is a copy of the
-    model the forward solve ran on, and ``grid`` and ``source`` are the
-    frozen grid and source it ran with; the adjoint and Born sweeps refuse
-    the field for any other model or grid, and Born for any other source.
+    without touching the forward field again. ``model``, ``grid`` and
+    ``source`` are the read-only model, frozen grid and frozen source the
+    forward solve ran with, not copies, so the fields of one sweep share
+    one model; the adjoint and Born sweeps refuse the field for any other
+    model or grid, and Born for any other source.
 
     Each sigma^n is stored only on its slab: the band rows that the wave
     from the source can have reached by step n, outside which it is +0.0.
@@ -511,9 +520,7 @@ def forward_solve(model: ModelGrid, source: SourceSpec, receivers, grid: SimGrid
     ledger.count_forward()
     if not keep_field:
         return traces, None
-    # a copy: an in-place edit of the caller's model must not pass check_field
-    own = ModelGrid(model.values.copy(), model.nx, model.ny)
-    return traces, Wavefield(scatter=scatter, plan=plan, source=source, model=own,
+    return traces, Wavefield(scatter=scatter, plan=plan, source=source, model=model,
                              grid=grid, receiver_cells=ws.receiver_cells)
 
 
@@ -601,6 +608,7 @@ def born_solve(model: ModelGrid, direction: np.ndarray, source: SourceSpec,
                 ws.bw, mode="edge")
     # E u^n + C P differentiated along dv, with C = c_per_v v: c_per_v dv sigma^n
     kick = ws.coef(ws.c_per_v * dv)
+    del dv  # dead before the march
     extra = np.empty(kick.size)
 
     def excite(n, p, u):

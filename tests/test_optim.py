@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gowave import optim
+from gowave import optim, regularizer
 from gowave.ledger import SolveLedger
 from gowave.optim import (GNCG_RICHARDSON_ITERS, CurvatureModel,
                           LinesearchPolicy, admit_curvature_pair, linesearch,
@@ -355,19 +355,19 @@ def test_richardson_bits_do_not_depend_on_blas_threads():
 
 
 @pytest.mark.parametrize("name, factored", [
-    ("gncg", {}), ("nlcg", {"block_cholesky": 1}), ("gogn", {}),
-    ("lbfgs", {"block_cholesky": 1})])
+    ("gncg", {}), ("nlcg", {"block_cholesky": 1}), ("gogn", {"_dct_basis": 2}),
+    ("lbfgs", {"block_cholesky": 1, "_dct_basis": 2})])
 def test_runs_factor_only_what_they_solve_with(monkeypatch, name, factored):
-    # gncg only applies the curvature model, and the regularizer solves in
-    # its eigenbasis; nlcg and lbfgs factor the curvature model once, on
-    # first use
+    # gncg only applies the curvature model and never solves with D^T D;
+    # nlcg and lbfgs factor the curvature model once, on first use, and
+    # gogn and lbfgs build the regularizer's cosine basis once per axis, on
+    # their first normal solve, however many steps they take
     built = {}
-    real = optim.block_cholesky
-
-    def block_cholesky(*args):
-        built["block_cholesky"] = built.get("block_cholesky", 0) + 1
-        return real(*args)
-    monkeypatch.setattr(optim, "block_cholesky", block_cholesky)
+    for module, fn in ((optim, "block_cholesky"), (regularizer, "_dct_basis")):
+        def counted(*args, real=getattr(module, fn), fn=fn):
+            built[fn] = built.get(fn, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, fn, counted)
     prob = make_generic(seed=13)
     res = run_any(name, prob, make_reg(), 60)
     assert len(res.records) >= 3

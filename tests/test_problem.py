@@ -352,6 +352,26 @@ def test_gn_hessian_with_and_without_cached_fields_agree_bitwise():
                           prob.gn_hessian_vec(m, v, fields=report.fields))
 
 
+def test_kept_fields_hold_the_swept_model_itself():
+    # the fields of one sweep share its read-only model; an equal model is
+    # accepted and one an ulp away is refused before any solve is counted
+    prob, _ = make_problem(n_src=3, sigma=0.05)
+    rng = np.random.default_rng(6)
+    m = ModelGrid(0.01 * rng.standard_normal(prob.p), prob.grid.nx, prob.grid.ny)
+    v = rng.standard_normal(prob.p)
+    fields = prob.misfit_and_gradients(m, keep_fields=True).fields
+    assert all(fld.model is m for fld in fields)
+    equal = ModelGrid(m.values, m.nx, m.ny)
+    assert prob.gn_hessian_vec(equal, v, fields=fields).tobytes() == \
+        prob.gn_hessian_vec(m, v, fields=fields).tobytes()
+    nudged = m.values.copy()
+    nudged[7] = np.nextafter(nudged[7], np.inf)
+    before = prob.ledger.snapshot()
+    with pytest.raises(ValueError, match="different model or grid"):
+        prob.gn_hessian_vec(ModelGrid(nudged, m.nx, m.ny), v, fields=fields)
+    assert prob.ledger.snapshot() == before
+
+
 def test_diag_estimate_clamps_and_stays_positive():
     prob, _ = make_problem(sigma=0.0)
     diag = prob.diag_gn_estimate(ModelGrid.zeros(prob.grid.nx, prob.grid.ny))
@@ -433,6 +453,26 @@ def test_gncg_never_holds_more_than_one_set_of_fields(peak_fields):
         run_gncg(prob, reg, h0, 10)))
     assert len(runs[0].records) >= 2  # the second sweep ran after a step
     assert peak == prob.n_sources
+
+
+def test_gncg_products_run_on_the_model_their_fields_hold(monkeypatch):
+    # the run's iterate is the one ModelGrid its sweep's fields hold, and
+    # each Hessian product is taken on it, not on a copy
+    prob, _ = make_problem(n_src=3, sigma=0.05)
+    grid = prob.grid
+    reg = build(grid.nx, grid.ny, grid.h, 1.0, 1.0 / (5 * grid.h) ** 2,
+                np.zeros(prob.p))
+    h0 = prob.diag_gn_estimate(ModelGrid.zeros(grid.nx, grid.ny))
+    shared = []
+    born = problem_module.born_solve
+
+    def recording(model, direction, source, receivers, grid, fld, ledger):
+        shared.append(model is fld.model)
+        return born(model, direction, source, receivers, grid, fld, ledger)
+    monkeypatch.setattr(problem_module, "born_solve", recording)
+    res = run_gncg(prob, reg, h0, 40)
+    assert len(res.records) >= 2
+    assert len(shared) >= 2 * prob.n_sources and all(shared)
 
 
 @pytest.fixture()

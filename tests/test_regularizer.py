@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gowave.regularizer as regularizer
 from gowave.regularizer import build
 
 from blas_threads import stdout_under_1_and_2_blas_threads
@@ -157,6 +158,25 @@ print(hashlib.sha256(op.solve_normal(b).tobytes()).hexdigest())
 """
     digests = stdout_under_1_and_2_blas_threads(script)
     assert digests[0] == digests[1]
+
+
+def test_cosine_basis_is_built_on_the_first_normal_solve(monkeypatch):
+    sizes = []
+    real = regularizer._dct_basis
+
+    def counted(n):
+        sizes.append(n)
+        return real(n)
+    monkeypatch.setattr(regularizer, "_dct_basis", counted)
+    op = small_op(nx=9, ny=6)
+    b = np.random.default_rng(8).standard_normal(op.p)
+    op.value(b), op.grad(b), op.hess_vec(b), op.normal_bands()
+    assert sizes == []
+    first = op.solve_normal(b).tobytes()
+    assert sorted(sizes) == [6, 9]
+    for _ in range(3):
+        assert op.solve_normal(b).tobytes() == first
+    assert sorted(sizes) == [6, 9]
 
 
 def test_solve_normal_round_trip():

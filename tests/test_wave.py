@@ -536,11 +536,9 @@ def test_field_kept_on_another_model_with_equal_substeps_is_refused():
         adjoint_solve(other, traces, fld, grid, led)
     with pytest.raises(ValueError, match="different model or grid"):
         born_solve(other, rng.standard_normal(m.p), src, recv, grid, fld, led)
-    # the field holds its own copy, so editing the solved model in place
-    # does not make the field pass for the edited one
-    m.values -= 0.05
-    with pytest.raises(ValueError, match="different model or grid"):
-        adjoint_solve(m, traces, fld, grid, led)
+    # the field holds the solved model itself, which cannot be edited in place
+    with pytest.raises(ValueError, match="read-only"):
+        m.values -= 0.05
     # a grid of the same shape and steps but another sponge or speed is
     # refused too; the solved grid cannot be edited in place
     for other_grid in (replace(grid, boundary_strength=2.0), replace(grid, c0=2950.0)):
@@ -751,6 +749,24 @@ def test_modelgrid_rejects_bad_values():
         ModelGrid(np.full(16, np.nan), 4, 4)
     with pytest.raises(ValueError):
         ModelGrid(np.full(16, -1.0), 4, 4)
+
+
+def test_modelgrid_keeps_its_own_values():
+    given = np.linspace(-0.1, 0.1, 16)
+    model = ModelGrid(given, 4, 4)
+    given[:] = 0.5
+    assert np.array_equal(model.values, np.linspace(-0.1, 0.1, 16))
+
+
+def test_modelgrid_is_read_only():
+    model = ModelGrid(np.zeros(16), 4, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        model.values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.as_2d()[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        model.values = np.ones(16)
+    assert not model.values.any()
 
 
 def test_source_outside_domain_rejected():
